@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .coding import CodingInstance, classical_success, info_bound, quantum_pmax_exact
+from .coding import CRITICAL_RATIO, CodingInstance, classical_success, info_bound, quantum_pmax_exact
 from .young import (
     DEFAULT_ENUMERATION_CAP,
-    _partitions_revlex,
+    _content_product,
     enumerate_partitions,
     log_dim_irrep,
     log_multiplicity,
@@ -25,9 +25,6 @@ from .young import (
 
 #: Hardy-Ramanujan exponent; default constant for the partition-growth bound.
 HARDY_RAMANUJAN_C = math.pi * math.sqrt(2.0 / 3.0)
-
-#: Color ratio d/N separating the two asymptotic regimes.
-CRITICAL_RATIO = 1.0 / math.e
 
 #: Plancherel share of the defensive-mixture proposal behind
 #: pmax_estimate_plancherel (Hesterberg 1995; Owen & Zhou 2000).
@@ -120,24 +117,18 @@ def column_dominance_scan(
     nfact = math.factorial(n)
     for diag in enumerate_partitions(n, cap=cap):
         rows = diag.rows
-        log_dim, log_mult = _log_dim_mult(rows, d)
-        if log_mult == float("-inf"):
+        if len(rows) > d:
             report.zero_mult_excluded += 1
             continue
         if len(rows) >= report.cutoff:
             report.long_count += 1
             continue
         report.short_count += 1
-        # exact comparison: ln is monotone, but decide ties exactly
-        if abs(log_dim - log_mult) < 1e-9:
-            from .young import dim_irrep, multiplicity
-
-            dim, mult = dim_irrep(diag), multiplicity(diag, d)
-            if dim == mult:
-                report.ties += 1
-            elif dim > mult:
-                report.violations += 1
-        elif log_dim > log_mult:
+        # D > m exactly when the content product falls below n! (D = n!/H, m = C/H)
+        content = _content_product(rows, d)
+        if content == nfact:
+            report.ties += 1
+        elif content < nfact:
             report.violations += 1
     return report
 
@@ -148,24 +139,19 @@ def row_dominance_scan(
     """Mirror scan: diagrams with first row shorter than A*sqrt(n) should have
     m < D (the short-row claim for d below the critical ratio)."""
     report = DominanceScanReport(n=n, d=d, a_threshold=a_threshold, cutoff=a_threshold * math.sqrt(n))
+    nfact = math.factorial(n)
     for diag in enumerate_partitions(n, cap=cap):
         rows = diag.rows
-        log_dim, log_mult = _log_dim_mult(rows, d)
         if rows[0] >= report.cutoff:
             report.long_count += 1
             continue
         report.short_count += 1
-        if log_mult == float("-inf"):
+        if len(rows) > d:
             continue  # m = 0 < D, satisfies the claim
-        if abs(log_dim - log_mult) < 1e-9:
-            from .young import dim_irrep, multiplicity
-
-            dim, mult = dim_irrep(diag), multiplicity(diag, d)
-            if dim == mult:
-                report.ties += 1
-            elif mult > dim:
-                report.violations += 1
-        elif log_mult > log_dim:
+        content = _content_product(rows, d)
+        if content == nfact:
+            report.ties += 1
+        elif content > nfact:
             report.violations += 1
     return report
 

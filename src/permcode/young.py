@@ -172,6 +172,17 @@ def partition_count(n: int) -> int:
     return total
 
 
+def partition_count_at_most(n: int, k: int) -> int:
+    """Partitions of n into at most k parts (equivalently, with parts at most k), exact."""
+    if n < 0 or k < 0:
+        raise ValueError(f"partition_count_at_most requires n, k >= 0, got ({n}, {k})")
+    ways = [1] + [0] * n
+    for part in range(1, min(k, n) + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
 def dim_irrep(diagram: YoungDiagram) -> int:
     """Dimension of the S_n irrep labeled by the diagram (hook-length formula)."""
     rows = diagram.rows

@@ -29,6 +29,44 @@ def test_pmax_table_n4_d2(capsys):
     assert "info_bound = 2/3" in out
 
 
+# Table output of `pmax --method exact --n 30 --d D`, frozen from the
+# full-enumeration implementation of quantum_pmax_exact.
+PMAX_EXACT_N30 = {
+    15: """\
+# version=0.1.0
+# command=pmax
+# cap=66
+# seed=0
+# method=exact-enumeration
+p_quantum = 1523152428826669440838439164121/1524441723058569302507520000000 (0.999154251545)
+p_classical = 1/32768 (3.0517578125e-05)
+info_bound = 1 (1)
+dim_w = 265028522615840482705888414557054
+min_side_counts = {'dim_wins': 4350, 'mult_wins': 745, 'ties': 1, 'zero_mult': 508}
+""",
+    6: """\
+# version=0.1.0
+# command=pmax
+# cap=66
+# seed=0
+# method=exact-enumeration
+p_quantum = 73691305155665990839751/88417619937397019545436160000000 (8.33445926364e-10)
+p_classical = 1/2985984000000 (3.3489797668e-13)
+info_bound = 688747536/826385373016328125 (8.33445942401e-10)
+dim_w = 221073915466997972519253
+min_side_counts = {'dim_wins': 38, 'mult_wins': 1166, 'ties': 2, 'zero_mult': 4398}
+""",
+}
+
+
+@pytest.mark.parametrize("d", sorted(PMAX_EXACT_N30))
+def test_pmax_exact_table_frozen(capsys, d):
+    code, out, _ = run_cli(capsys, ["pmax", "--method", "exact", "--n", "30", "--d", str(d)])
+    assert code == 0
+    assert out == PMAX_EXACT_N30[d]
+    assert "# method=exact-enumeration\n" in out
+
+
 def test_pmax_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, ["pmax", "--n", "5", "--d", "3", "--format", "json"])
     assert code == 0

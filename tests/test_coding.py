@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permcode.coding import (
     CodingInstance,
@@ -11,7 +14,13 @@ from permcode.coding import (
     measure_tables,
     quantum_pmax_exact,
 )
-from permcode.young import CapacityError, dim_irrep, enumerate_partitions, multiplicity
+from permcode.young import (
+    CapacityError,
+    _content_product,
+    dim_irrep,
+    enumerate_partitions,
+    multiplicity,
+)
 
 from test_young import count_ssyt, count_syt
 
@@ -155,3 +164,68 @@ def test_measure_tables_n3_values():
 def test_min_side_counts():
     rep = quantum_pmax_exact(CodingInstance(3, 2))
     assert rep.min_side_counts == {"dim_wins": 1, "mult_wins": 0, "ties": 1, "zero_mult": 1}
+
+
+# ------------------------------------------- the minority-side search
+
+def full_enumeration(n: int, d: int) -> tuple[int, dict[str, int]]:
+    """Oracle for quantum_pmax_exact: every diagram, with no side or pruning."""
+    dim_w = 0
+    counts = {"dim_wins": 0, "mult_wins": 0, "ties": 0, "zero_mult": 0}
+    for diag in enumerate_partitions(n):
+        dim, mult = dim_irrep(diag), multiplicity(diag, d)
+        dim_w += min(dim, mult) * dim
+        if mult == 0:
+            counts["zero_mult"] += 1
+        elif dim < mult:
+            counts["dim_wins"] += 1
+        elif mult < dim:
+            counts["mult_wins"] += 1
+        else:
+            counts["ties"] += 1
+    return dim_w, counts
+
+
+def test_covering_moves_raise_content_product():
+    # the premise of the pruning: moving the last box of a lower row to the
+    # end of a higher row strictly raises every nonzero prod(d + content)
+    moves = 0
+    for n in range(2, 17):
+        for diag in enumerate_partitions(n):
+            rows = list(diag.rows)
+            before = {d: _content_product(rows, d) for d in range(len(rows), n + 1)}
+            for i, j in combinations(range(len(rows)), 2):
+                moved = rows.copy()
+                moved[i] += 1
+                moved[j] -= 1
+                if i > 0 and moved[i] > moved[i - 1]:
+                    continue
+                if j + 1 < len(rows) and moved[j] < moved[j + 1]:
+                    continue
+                moved = [r for r in moved if r]
+                moves += 1
+                for d, product in before.items():
+                    assert _content_product(moved, d) > product > 0, (rows, moved, d)
+    assert moves == 3380  # every such move of every partition of 2..16
+
+
+def test_pmax_exact_matches_full_enumeration_n22():
+    for n in range(1, 23):
+        for d in range(1, n + 2):
+            rep = quantum_pmax_exact(CodingInstance(n, d))
+            assert (rep.dim_w, rep.min_side_counts) == full_enumeration(n, d), (n, d)
+
+
+@st.composite
+def mid_size_instances(draw):
+    n = draw(st.integers(23, 40))
+    critical = math.floor(n / math.e)
+    d = draw(st.one_of(st.integers(1, n + 1), st.integers(critical - 3, critical + 3)))
+    return n, d
+
+
+@settings(deadline=None, max_examples=12)
+@given(mid_size_instances())
+def test_pmax_exact_matches_full_enumeration_n23_to_40(instance):
+    rep = quantum_pmax_exact(CodingInstance(*instance))
+    assert (rep.dim_w, rep.min_side_counts) == full_enumeration(*instance)

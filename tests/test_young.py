@@ -19,6 +19,7 @@ from permcode.young import (
     log_multiplicity,
     multiplicity,
     partition_count,
+    partition_count_at_most,
     rsk_shape,
     sample_plancherel,
     sample_schur_weyl,
@@ -144,6 +145,17 @@ def test_partition_count_values():
 
 
 # ------------------------------------------------------- dims and mults
+
+def test_partition_count_at_most():
+    for n in range(0, 16):
+        parts = brute_force_partitions(n)
+        for k in range(0, n + 2):
+            assert partition_count_at_most(n, k) == sum(1 for p in parts if len(p) <= k)
+        assert partition_count_at_most(n, n) == partition_count(n)
+    assert partition_count_at_most(50, 25) == partition_count(50) - 7338
+    with pytest.raises(ValueError):
+        partition_count_at_most(-1, 2)
+
 
 def test_dim_irrep_examples():
     assert dim_irrep(YoungDiagram((5,))) == 1
