@@ -18,6 +18,7 @@ from .young import (
     _partitions_revlex,
     enumerate_partitions,
     irrep_stats,
+    partition_count,
     partition_count_at_most,
 )
 
@@ -99,8 +100,7 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
         "dim_wins": dim_wins,
         "mult_wins": mult_wins,
         "ties": ties,
-        # p(n) without the recursion of partition_count, which a raised cap could overflow
-        "zero_mult": partition_count_at_most(n, n) - fits,
+        "zero_mult": partition_count(n) - fits,
     }
     return CodingReport(
         instance=instance,

@@ -2,14 +2,20 @@
 permutation operators on (C^d)^(tensor N), the three-box two-color example,
 POVM symmetrization, pretty-good-measurement success probabilities, matrix
 orthogonality relations, and a classical-channel Monte Carlo.
+
+A permutation operator Gamma(sigma) is held as an index permutation of the
+d^N basis states, never as a dense matrix: Gamma x = x[idx] and
+Gamma M Gamma^dagger = M[idx, idx].  Every Gamma(sigma) keeps the color
+counts (weight) of each basis state, so group-algebra elements and isotypic
+projectors are block-diagonal over the weight sectors and are diagonalized
+one block at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,12 +63,35 @@ def cycle_type(p: Perm) -> YoungDiagram:
     return YoungDiagram(tuple(sorted(lengths, reverse=True)))
 
 
-@dataclass
+def _basis_digits(n: int, d: int) -> np.ndarray:
+    """Digits of every basis state of (C^d)^(tensor n), shape (d^n, n); box 0
+    is the most significant digit."""
+    place = d ** np.arange(n - 1, -1, -1)
+    return (np.arange(d**n)[:, None] // place) % d
+
+
+@dataclass(frozen=True)
 class PermutationOperator:
+    """Gamma(perm) on (C^d)^(tensor n), held as the index permutation ``index``
+    of the basis states: (Gamma x)[k] = x[index[k]]."""
+
     perm: Perm
     n: int
     d: int
-    matrix: np.ndarray
+    index: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d^n x d^n unitary, built on demand from the digits of the
+        basis states (not from ``index``): the digit of box i moves to box perm(i)."""
+        digits = _basis_digits(self.n, self.d)
+        moved = np.empty_like(digits)
+        moved[:, list(self.perm)] = digits
+        place = self.d ** np.arange(self.n - 1, -1, -1)
+        dim = self.d**self.n
+        mat = np.zeros((dim, dim))
+        mat[moved @ place, np.arange(dim)] = 1.0
+        return mat
 
 
 @dataclass
@@ -93,36 +122,68 @@ class CovariantPovm:
         return math.factorial(self.n)
 
     def element(self, perm: Perm) -> np.ndarray:
-        g = build_gamma(perm, self.n, self.d).matrix
-        return g @ self.seed_operator @ g.conj().T
+        idx = build_gamma(perm, self.n, self.d).index
+        return self.seed_operator[np.ix_(idx, idx)]
 
     def elements(self) -> dict[Perm, np.ndarray]:
         return {p: self.element(p) for p in all_perms(self.n)}
 
 
-def _basis_index(digits: tuple[int, ...], d: int) -> int:
-    idx = 0
-    for x in digits:
-        idx = idx * d + x
-    return idx
+def _gamma_index(perm: Perm, n: int, d: int) -> np.ndarray:
+    """Index array of Gamma(perm): (Gamma x)[k] = x[idx[k]].  Output box perm(i)
+    reads input box i, so the (d,)*n tensor of indices is transposed by the
+    inverse permutation."""
+    return np.arange(d**n).reshape((d,) * n).transpose(invert(perm)).ravel()
 
 
 @lru_cache(maxsize=1024)
 def build_gamma(perm: Perm, n: int, d: int) -> PermutationOperator:
     """The unitary permuting the n tensor factors: the state of box i moves to
-    box perm(i), so Gamma(p)Gamma(q) = Gamma(p o q)."""
+    box perm(i), so Gamma(p)Gamma(q) = Gamma(p o q).
+
+    The operator is held as an index permutation (d^n integers); ``.matrix``
+    builds the dense matrix only when asked.  ``d^n`` is capped at
+    ``DIMENSION_CAP``.
+    """
     dim = d**n
     if dim > DIMENSION_CAP:
         raise CapacityError(f"d^n = {dim} exceeds the dense-operator cap {DIMENSION_CAP}")
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    mat = np.zeros((dim, dim))
-    for digits in itertools.product(range(d), repeat=n):
-        out = [0] * n
-        for i, x in enumerate(digits):
-            out[perm[i]] = x
-        mat[_basis_index(tuple(out), d), _basis_index(digits, d)] = 1.0
-    return PermutationOperator(perm=perm, n=n, d=d, matrix=mat)
+    idx = _gamma_index(perm, n, d)
+    idx.flags.writeable = False  # shared through the cache
+    return PermutationOperator(perm=perm, n=n, d=d, index=idx)
+
+
+def _gamma_indices(n: int, d: int) -> tuple[list[Perm], np.ndarray]:
+    """All permutations in ``all_perms`` order and their stacked Gamma indices,
+    shape (n!, d^n)."""
+    perms = all_perms(n)
+    return perms, np.stack([build_gamma(p, n, d).index for p in perms])
+
+
+def _group_algebra_element(coeffs: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """sum_p coeffs[p] Gamma(p) as a dense matrix, from one scatter of the
+    stacked Gamma indices: Gamma(p) has a 1 at (k, idx_p[k])."""
+    dim = indices.shape[1]
+    flat = (np.arange(dim) * dim + indices).ravel()
+
+    def scatter(weights: np.ndarray) -> np.ndarray:
+        summed = np.bincount(flat, weights=np.repeat(weights, dim), minlength=dim * dim)
+        return summed.reshape(dim, dim)
+
+    if np.iscomplexobj(coeffs):
+        return scatter(coeffs.real) + 1j * scatter(coeffs.imag)
+    return scatter(coeffs)
+
+
+def _weight_sectors(n: int, d: int) -> list[np.ndarray]:
+    """Basis indices grouped by color counts, each group ascending.  Every
+    Gamma(sigma) maps each group onto itself."""
+    counts = (_basis_digits(n, d)[:, :, None] == np.arange(d)).sum(axis=1)
+    key = counts @ (n + 1) ** np.arange(d)
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 def _ket(bits: str) -> np.ndarray:
@@ -170,10 +231,7 @@ def build_n3_example() -> tuple[SignalState, CovariantPovm]:
 
 
 def _complete_covariant(seed: np.ndarray, n: int, d: int) -> CovariantPovm:
-    total = sum(
-        build_gamma(p, n, d).matrix @ seed @ build_gamma(p, n, d).matrix.conj().T
-        for p in all_perms(n)
-    )
+    total = sum(seed[np.ix_(idx, idx)] for idx in _gamma_indices(n, d)[1])
     completion = np.eye(d**n) - total
     # completion must be a PSD projector-like remainder; validate completeness
     evals = np.linalg.eigvalsh((completion + completion.conj().T) / 2)
@@ -198,12 +256,13 @@ def symmetrize_elements(
     E'_t = (1/n!) sum over s of Gamma(s)^dagger E_{s o t} Gamma(s)."""
     perms = all_perms(n)
     nfact = math.factorial(n)
+    # Gamma(s)^dagger = Gamma(s^-1)
+    inverse = {s: build_gamma(invert(s), n, d).index for s in perms}
     out = {}
     for t in perms:
         acc = np.zeros_like(next(iter(raw_elements.values())), dtype=complex)
         for s in perms:
-            g = build_gamma(s, n, d).matrix
-            acc += g.conj().T @ raw_elements[compose(s, t)] @ g
+            acc += raw_elements[compose(s, t)][np.ix_(inverse[s], inverse[s])]
         out[t] = acc / nfact
     return out
 
@@ -227,8 +286,8 @@ def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> Cov
     nfact = math.factorial(n)
     seed = np.zeros((dim, dim), dtype=complex)
     for p in perms:
-        g = build_gamma(p, n, d).matrix
-        seed += g.conj().T @ raw_elements[p] @ g
+        inv = build_gamma(invert(p), n, d).index
+        seed += raw_elements[p][np.ix_(inv, inv)]
     seed /= nfact
     return _complete_covariant(seed, n, d)
 
@@ -241,8 +300,7 @@ def success_probability(signal: SignalState, povm: CovariantPovm) -> float:
     psi = signal.amplitudes
     total = 0.0 + 0.0j
     for p in all_perms(signal.n):
-        g = build_gamma(p, signal.n, signal.d).matrix
-        gpsi = g @ psi
+        gpsi = psi[build_gamma(p, signal.n, signal.d).index]
         total += gpsi.conj() @ povm.element(p) @ gpsi
     total /= math.factorial(signal.n)
     if abs(total.imag) > 1e-12:
@@ -257,9 +315,7 @@ def pgm_success(signal: SignalState, n: int, d: int) -> float:
     nfact = math.factorial(n)
     if nfact > PGM_GROUP_CAP:
         raise CapacityError(f"n! = {nfact} exceeds the Gram-matrix cap {PGM_GROUP_CAP}")
-    psi = signal.amplitudes
-    perms = all_perms(n)
-    states = np.stack([build_gamma(p, n, d).matrix @ psi for p in perms])
+    states = signal.amplitudes[_gamma_indices(n, d)[1]]
     gram = states.conj() @ states.T
     herm_resid = np.abs(gram - gram.conj().T).max()
     if herm_resid > 1e-10:
@@ -273,13 +329,51 @@ def pgm_success(signal: SignalState, n: int, d: int) -> float:
     return float(np.sum(diag**2) / nfact)
 
 
-def _isotypic_projector(diagram: YoungDiagram, n: int, d: int) -> np.ndarray:
-    dim = dim_irrep(diagram)
-    nfact = math.factorial(n)
-    proj = np.zeros((d**n, d**n))
-    for p in all_perms(n):
-        proj += character(diagram, cycle_type(p)) * build_gamma(p, n, d).matrix
-    return (dim / nfact) * proj
+_Blocks = list[tuple[np.ndarray, np.ndarray]]  # (sector indices, real orthonormal columns on it)
+
+
+def _isotypic_blocks(
+    diagram: YoungDiagram,
+    types: list[YoungDiagram],
+    indices: np.ndarray,
+    sectors: list[np.ndarray],
+) -> _Blocks:
+    """Orthonormal basis of the isotypic component of ``diagram``, one weight
+    sector at a time: the eigenvectors of eigenvalue 1 of each diagonal block
+    of the projector (D/n!) sum_p chi(p) Gamma(p).  The projector is built in
+    one scatter; ``types`` holds the cycle type of each stacked permutation."""
+    chars = {t: character(diagram, t) for t in set(types)}
+    coeffs = np.array([chars[t] for t in types], dtype=float)
+    proj = _group_algebra_element(coeffs * (dim_irrep(diagram) / len(types)), indices)
+    blocks = []
+    for sector in sectors:
+        evals, evecs = np.linalg.eigh(proj[np.ix_(sector, sector)])
+        if evals[-1] > 0.5:
+            blocks.append((sector, evecs[:, evals > 0.5]))
+    return blocks
+
+
+def _embed(blocks: _Blocks, dim: int) -> np.ndarray:
+    """The basis in ``blocks`` as the columns of one d^n-row matrix."""
+    out = np.zeros((dim, sum(cols.shape[1] for _, cols in blocks)))
+    at = 0
+    for sector, cols in blocks:
+        out[sector, at : at + cols.shape[1]] = cols
+        at += cols.shape[1]
+    return out
+
+
+def _restrict(op: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """iso^dagger op iso, iso the basis in ``blocks``, for an operator that maps
+    every weight sector into itself: one small product per sector."""
+    size = sum(cols.shape[1] for _, cols in blocks)
+    out = np.zeros((size, size), dtype=op.dtype)
+    at = 0
+    for sector, cols in blocks:
+        k = cols.shape[1]
+        out[at : at + k, at : at + k] = cols.T @ op[np.ix_(sector, sector)] @ cols
+        at += k
+    return out
 
 
 def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
@@ -295,14 +389,15 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
     if dim_v > 1024 or n > 6:
         raise CapacityError(f"optimal-state construction capped at d^n <= 1024, n <= 6")
     rng = np.random.default_rng(rng_seed)
-    perms = all_perms(n)
-    gammas = {p: build_gamma(p, n, d).matrix for p in perms}
+    perms, indices = _gamma_indices(n, d)
     # generic Hermitian elements of the group algebra (act as M_D x Id_m)
     coeffs_a = rng.normal(size=len(perms))
     coeffs_b = rng.normal(size=len(perms)) + 1j * rng.normal(size=len(perms))
-    alg_a = sum(c * gammas[p] for c, p in zip(coeffs_a, perms))
+    alg_a = _group_algebra_element(coeffs_a, indices)
     alg_a = alg_a + alg_a.conj().T
-    alg_b = sum(c * gammas[p] for c, p in zip(coeffs_b, perms))
+    alg_b = _group_algebra_element(coeffs_b, indices)
+    types = [cycle_type(p) for p in perms]
+    sectors = _weight_sectors(n, d)
     nfact = math.factorial(n)
     phi = np.zeros(dim_v, dtype=complex)
     for diagram in enumerate_partitions(n):
@@ -310,11 +405,10 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
         mult_rho = multiplicity(diagram, d)
         if mult_rho == 0:
             continue
-        proj = _isotypic_projector(diagram, n, d)
-        evals, evecs = np.linalg.eigh(proj)
-        iso = evecs[:, evals > 0.5]  # columns: orthonormal basis of the component
+        blocks = _isotypic_blocks(diagram, types, indices, sectors)
+        iso = _embed(blocks, dim_v)  # columns: orthonormal basis of the component
         assert iso.shape[1] == dim_rho * mult_rho
-        a_block = iso.conj().T @ alg_a @ iso
+        a_block = _restrict(alg_a, blocks)
         a_evals, a_evecs = np.linalg.eigh(a_block)
         # eigenvalues come in dim_rho clusters of size mult_rho each
         clusters = [a_evecs[:, i * mult_rho : (i + 1) * mult_rho] for i in range(dim_rho)]
@@ -324,7 +418,7 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
         )
         if spread > 1e-8:
             raise InternalQsimError(f"eigenvalue clusters not degenerate: spread {spread:.3e}")
-        b_block = iso.conj().T @ alg_b @ iso
+        b_block = _restrict(alg_b, blocks)
         k = min(mult_rho, dim_rho)
         # copy b occupies internal index a = b; map cluster 0 into cluster a
         for b_idx in range(k):
@@ -357,7 +451,7 @@ def orthogonality_check_n3() -> dict:
     for key, names in copies.items():
         block = np.stack([basis[nm] for nm in names]).T  # columns
         mats[key] = {
-            p: block.conj().T @ build_gamma(p, 3, 2).matrix @ block for p in perms
+            p: block.conj().T @ block[build_gamma(p, 3, 2).index] for p in perms
         }
     cross_resid = 0.0
     same_resid = 0.0
@@ -407,33 +501,28 @@ def orthogonality_check_n3() -> dict:
 
 
 def classical_channel_mc(n: int, d: int, trials: int, seed: int) -> tuple[float, float]:
-    """Simulate the classical protocol: balanced coloring, uniformly random
-    channel permutation, and a decoder guessing uniformly among the
-    permutations consistent with the received coloring."""
+    """Simulate the classical protocol, encode -> permute -> decode, one row per
+    trial: a uniformly random balanced coloring of the n boxes, a uniformly
+    random channel permutation sigma (box i arrives at position sigma(i)), and
+    a decoder that knows the coloring and sends the boxes of each color to the
+    positions where that color arrived, in uniformly random order.  A trial
+    succeeds iff the decoder's guess equals sigma."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     sizes = balanced_color_classes(n, d)
-    coloring = []
-    classes = []
-    pos = 0
-    for c, s in enumerate(sizes):
-        coloring.extend([c] * s)
-        classes.append(list(range(pos, pos + s)))
-        pos += s
-    wins = 0
-    boxes = list(range(n))
-    for _ in range(trials):
-        sigma = boxes[:]
-        rng.shuffle(sigma)
-        # Bob's guess: sigma composed with a uniform coloring-preserving map
-        correct = True
-        for cls in classes:
-            shuffled = cls[:]
-            rng.shuffle(shuffled)
-            if shuffled != cls:
-                correct = False
-        wins += correct
-    p_hat = wins / trials
+    palette = np.repeat(np.arange(len(sizes)), sizes)
+    shape = (trials, n)
+    coloring = palette[np.argsort(rng.random(shape), axis=1)]
+    sigma = np.argsort(rng.random(shape), axis=1)
+    received = np.empty_like(coloring)
+    np.put_along_axis(received, sigma, coloring, axis=1)
+    # boxes sorted by color, randomly within a color, meet the positions
+    # sorted by received color
+    boxes = np.lexsort((rng.random(shape), coloring))
+    slots = np.argsort(received, axis=1, kind="stable")
+    guess = np.empty_like(sigma)
+    np.put_along_axis(guess, boxes, slots, axis=1)
+    p_hat = float(np.all(guess == sigma, axis=1).mean())
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials)
     return p_hat, stderr

@@ -150,26 +150,26 @@ def _partitions_revlex(n: int) -> Iterator[tuple[int, ...]]:
             rem -= take
 
 
-@lru_cache(maxsize=None)
+_PARTITION_COUNTS = [1]  # p(0), p(1), ..., extended bottom-up on demand
+
+
 def partition_count(n: int) -> int:
-    """p(n) via Euler's pentagonal-number recurrence, exact."""
+    """p(n) via Euler's pentagonal-number recurrence, exact.  The table is
+    filled bottom-up, so a cold call at any n needs no recursion."""
     if n < 0:
         raise ValueError(f"partition_count requires n >= 0, got {n}")
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    table = _PARTITION_COUNTS
+    for m in range(len(table), n + 1):
+        total = 0
+        k = 1
+        while (g1 := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 == 1 else -1
+            total += sign * table[m - g1]
+            if g1 + k <= m:  # the second pentagonal number k(3k + 1)/2
+                total += sign * table[m - g1 - k]
+            k += 1
+        table.append(total)
+    return table[n]
 
 
 def partition_count_at_most(n: int, k: int) -> int:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,12 @@ from permcode.qsim import (
     InternalQsimError,
     SignalState,
     _complete_covariant,
+    _embed,
+    _gamma_index,
+    _gamma_indices,
+    _group_algebra_element,
+    _isotypic_blocks,
+    _weight_sectors,
     all_perms,
     build_gamma,
     build_n3_example,
@@ -26,7 +34,14 @@ from permcode.qsim import (
     symmetrize_elements,
     symmetrize_povm,
 )
-from permcode.young import CapacityError, YoungDiagram
+from permcode.young import (
+    CapacityError,
+    YoungDiagram,
+    character,
+    dim_irrep,
+    enumerate_partitions,
+    multiplicity,
+)
 
 
 # ------------------------------------------------------- permutation ops
@@ -68,6 +83,86 @@ def test_gamma_capacity():
     build_gamma(tuple(range(7)), 7, 2)  # 2^7 = 128 is fine
     with pytest.raises(CapacityError):
         build_gamma(tuple(range(13)), 13, 2)  # 2^13 = 8192 exceeds the cap
+
+
+def _digit_loop_gamma(perm, n, d):
+    """Dense Gamma(perm) by the defining digit loop: the state of box i moves to box perm(i)."""
+    dim = d**n
+    mat = np.zeros((dim, dim))
+    for digits in itertools.product(range(d), repeat=n):
+        out = [0] * n
+        for i, x in enumerate(digits):
+            out[perm[i]] = x
+        mat[int("".join(map(str, out)), d), int("".join(map(str, digits)), d)] = 1.0
+    return mat
+
+
+OPERATOR_CASES = [(2, 2), (3, 2), (4, 2), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("n,d", OPERATOR_CASES)
+def test_gamma_axis_convention(n, d):
+    # the index, and the dense matrix built on demand, both follow the digit-loop definition
+    for p in all_perms(n):
+        loop = _digit_loop_gamma(p, n, d)
+        assert np.array_equal(build_gamma(p, n, d).matrix, loop)
+        idx = _gamma_index(p, n, d)
+        assert np.array_equal(loop[np.arange(d**n), idx], np.ones(d**n))
+
+
+@pytest.mark.parametrize("n,d", OPERATOR_CASES)
+def test_gamma_index_application_and_conjugation(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    dim = d**n
+    for p in all_perms(n):
+        g = build_gamma(p, n, d).matrix
+        idx = build_gamma(p, n, d).index
+        inv = build_gamma(invert(p), n, d).index
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert np.array_equal(x[idx], g @ x)
+        assert np.allclose(m[np.ix_(idx, idx)], g @ m @ g.conj().T, rtol=0, atol=1e-12)
+        assert np.allclose(m[np.ix_(inv, inv)], g.conj().T @ m @ g, rtol=0, atol=1e-12)
+        povm = CovariantPovm(seed_operator=m, completion=np.zeros((dim, dim)), n=n, d=d)
+        assert np.array_equal(povm.element(p), m[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("n,d", OPERATOR_CASES)
+def test_group_algebra_element_matches_dense_sum(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    perms, indices = _gamma_indices(n, d)
+    coeffs = rng.normal(size=len(perms)) + 1j * rng.normal(size=len(perms))
+    dense = sum(c * build_gamma(p, n, d).matrix for c, p in zip(coeffs, perms))
+    assert np.allclose(_group_algebra_element(coeffs, indices), dense, rtol=0, atol=1e-12)
+    real = _group_algebra_element(coeffs.real, indices)
+    assert real.dtype == np.float64
+    assert np.allclose(real, dense.real, rtol=0, atol=1e-12)
+
+
+def test_weight_sectors_partition_the_basis():
+    sectors = _weight_sectors(5, 4)
+    assert len(sectors) == math.comb(5 + 3, 3)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(4**5))
+    assert max(len(s) for s in sectors) == 60  # 5!/2!
+    _, indices = _gamma_indices(5, 4)
+    for s in sectors:
+        assert np.array_equal(np.sort(indices[:, s], axis=1), np.broadcast_to(s, (120, len(s))))
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (4, 3)])
+def test_isotypic_blocks_span_projector_range(n, d):
+    perms, indices = _gamma_indices(n, d)
+    types = [cycle_type(p) for p in perms]
+    sectors = _weight_sectors(n, d)
+    for diagram in enumerate_partitions(n):
+        rank = dim_irrep(diagram) * multiplicity(diagram, d)
+        dense = sum(character(diagram, t) * build_gamma(p, n, d).matrix for p, t in zip(perms, types))
+        dense *= dim_irrep(diagram) / len(perms)
+        iso = _embed(_isotypic_blocks(diagram, types, indices, sectors), d**n)
+        assert iso.shape[1] == rank
+        assert np.abs(iso.T @ iso - np.eye(rank)).max(initial=0.0) < 1e-12
+        assert np.abs(dense @ iso - iso).max(initial=0.0) < 1e-12
+        assert np.trace(dense) == pytest.approx(rank, abs=1e-9)  # range has dimension D * m
 
 
 def test_cycle_type():
@@ -244,12 +339,26 @@ def test_pgm_never_beats_formula_n3():
 
 @pytest.mark.parametrize(
     "n,d",
-    [(3, 2), (4, 2), (4, 3), (5, 2)],
+    [(3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 3)],
 )
 def test_optimal_signal_achieves_formula(n, d):
     exact = float(quantum_pmax_exact(CodingInstance(n, d)).p_quantum)
     signal = build_optimal_signal(n, d)
     assert pgm_success(signal, n, d) == pytest.approx(exact, abs=1e-8)
+
+
+def test_optimal_signal_memory_peak():
+    # no dense Gamma(sigma): the (6, 3) construction plus its PGM stays far
+    # below the ~3 GiB that 720 dense 729 x 729 operators would take
+    build_gamma.cache_clear()
+    tracemalloc.start()
+    try:
+        signal = build_optimal_signal(6, 3)
+        pgm_success(signal, 6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
 
 
 def test_optimal_signal_42_adjudication():
@@ -278,7 +387,9 @@ def test_classical_channel_two_boxes():
     assert p_hat == 1.0 and stderr == 0.0
 
 
-@pytest.mark.parametrize("n,d,target", [(3, 2, 0.5), (4, 2, 0.25)])
+@pytest.mark.parametrize(
+    "n,d,target", [(3, 2, 0.5), (4, 2, 0.25), (5, 2, 1 / 12), (6, 3, 1 / 8)]
+)
 def test_classical_channel_matches_formula(n, d, target):
     p_hat, stderr = classical_channel_mc(n, d, 100_000, seed=12)
     assert abs(p_hat - target) <= 4 * max(stderr, 1e-12)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permcode import young
 from permcode.young import (
     CapacityError,
     YoungDiagram,
@@ -155,6 +156,14 @@ def test_partition_count_at_most():
     assert partition_count_at_most(50, 25) == partition_count(50) - 7338
     with pytest.raises(ValueError):
         partition_count_at_most(-1, 2)
+
+
+def test_partition_count_cold_large_n(monkeypatch):
+    # an empty table, as in a fresh process: no recursion limit at large n
+    monkeypatch.setattr(young, "_PARTITION_COUNTS", [1])
+    assert partition_count(1500) == partition_count_at_most(1500, 1500)
+    with pytest.raises(ValueError):
+        partition_count(-1)
 
 
 def test_dim_irrep_examples():
