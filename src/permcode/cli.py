@@ -54,6 +54,7 @@ from .young import (
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INTERNAL = 2
+LOG10_2 = math.log10(2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +64,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
+def _int_str(v: int) -> str:
+    """Decimal digits of ``v``, or a note of how many there are when Python's
+    limit on int-to-str conversion (4300 digits by default) refuses them."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
+    bits = abs(v).bit_length()
+    if not limit or bits * LOG10_2 < limit:  # at most floor(bits * log10(2)) + 1 digits
+        return str(v)
+    k = int(bits * LOG10_2)  # v has k or k + 1 digits
+    digits = k + 1 if abs(v) >= 10**k else k
+    return str(v) if digits <= limit else f"<{digits}-digit integer, above the {limit}-digit print limit>"
+
+
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}" if x.denominator != 1 else _int_str(x.numerator)
 
 
 def dec_str(x) -> str:

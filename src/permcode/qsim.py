@@ -1,7 +1,8 @@
 """Dense-matrix verification of the covariant-POVM machinery at small N and d:
 permutation operators on (C^d)^(tensor N), the three-box two-color example,
-POVM symmetrization, pretty-good-measurement success probabilities, matrix
-orthogonality relations, and a classical-channel Monte Carlo.
+POVM symmetrization, pretty-good-measurement success probabilities and orbit
+ranks from the frame operator, matrix orthogonality relations, and a
+classical-channel Monte Carlo.
 
 A permutation operator Gamma(sigma) is held as an index permutation of the
 d^N basis states, never as a dense matrix: Gamma x = x[idx] and
@@ -24,11 +25,13 @@ from .coding import balanced_color_classes
 from .young import CapacityError, YoungDiagram, character, dim_irrep, enumerate_partitions, multiplicity
 
 DIMENSION_CAP = 4096  # largest d**n for dense operators
-PGM_GROUP_CAP = 5040  # largest n! for Gram-matrix work
+ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbit
 
 PSD_CLIP = 1e-12
 COMPLETENESS_TOL = 1e-10
 COVARIANCE_TOL = 1e-12
+SECTOR_TOL = 1e-10  # largest relative off-sector part of S v for a sector-blocked frame operator
+RANK_RTOL = 1e-9  # eigenvalues of S above this share of the largest count towards the orbit rank
 
 Perm = tuple[int, ...]
 
@@ -157,7 +160,10 @@ def build_gamma(perm: Perm, n: int, d: int) -> PermutationOperator:
 
 def _gamma_indices(n: int, d: int) -> tuple[list[Perm], np.ndarray]:
     """All permutations in ``all_perms`` order and their stacked Gamma indices,
-    shape (n!, d^n)."""
+    shape (n!, d^n); n! * d^n is capped at ``ORBIT_CAP``."""
+    size = math.factorial(n) * d**n
+    if size > ORBIT_CAP:
+        raise CapacityError(f"n! * d^n = {size} exceeds the orbit cap {ORBIT_CAP}")
     perms = all_perms(n)
     return perms, np.stack([build_gamma(p, n, d).index for p in perms])
 
@@ -177,11 +183,15 @@ def _group_algebra_element(coeffs: np.ndarray, indices: np.ndarray) -> np.ndarra
     return scatter(coeffs)
 
 
+def _color_counts(n: int, d: int) -> np.ndarray:
+    """How often each color occurs in every basis state (its weight), shape (d^n, d)."""
+    return (_basis_digits(n, d)[:, :, None] == np.arange(d)).sum(axis=1)
+
+
 def _weight_sectors(n: int, d: int) -> list[np.ndarray]:
     """Basis indices grouped by color counts, each group ascending.  Every
     Gamma(sigma) maps each group onto itself."""
-    counts = (_basis_digits(n, d)[:, :, None] == np.arange(d)).sum(axis=1)
-    key = counts @ (n + 1) ** np.arange(d)
+    key = _color_counts(n, d) @ (n + 1) ** np.arange(d)
     order = np.argsort(key, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
@@ -308,25 +318,90 @@ def success_probability(signal: SignalState, povm: CovariantPovm) -> float:
     return float(total.real)
 
 
+_Spectrum = list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (basis indices, eigenvalues, eigenvectors)
+
+
+def _frame_blocks(amplitudes: np.ndarray, n: int, d: int) -> _Spectrum:
+    """Eigendecomposition of the frame operator
+    S = sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger, one diagonal block at a time.
+
+    With A = psi[indices], whose row sigma is Gamma(sigma)psi, S = A^T conj(A).
+    S keeps the weight sectors for some states (the optimal signal) but not for
+    a general psi, so the sector blocks S_mu = A[:, mu]^T conj(A[:, mu]) are used
+    only when they hold all of S: for one fixed random v, S v and the blocked
+    S v differ by at most ``SECTOR_TOL`` relative to |S v|.  Otherwise the whole
+    space is one block.  Each block must be Hermitian and PSD.
+    """
+    frame = amplitudes[_gamma_indices(n, d)[1]]
+    v = np.random.default_rng(0).normal(size=d**n)
+    full_sv = frame.T @ np.conj(frame @ v)  # v is real, so conj(A) v = conj(A v)
+    blocked_sv = np.zeros_like(full_sv)
+    blocks = []
+    for sector in _weight_sectors(n, d):
+        part = frame[:, sector]
+        block = part.T @ part.conj()
+        blocked_sv[sector] = block @ v[sector]
+        blocks.append((sector, block))
+    if np.linalg.norm(full_sv - blocked_sv) > SECTOR_TOL * np.linalg.norm(full_sv):
+        blocks = [(np.arange(d**n), frame.T @ frame.conj())]
+    spectrum = []
+    for index, block in blocks:
+        herm_resid = np.abs(block - block.conj().T).max()
+        if herm_resid > 1e-10:
+            raise InternalQsimError(f"frame operator not Hermitian: residual {herm_resid:.3e}")
+        evals, evecs = np.linalg.eigh((block + block.conj().T) / 2)
+        if evals.min() < -1e-10:
+            raise InternalQsimError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
+        spectrum.append((index, evals, evecs))
+    return spectrum
+
+
 def pgm_success(signal: SignalState, n: int, d: int) -> float:
     """Pretty-good-measurement success probability on the equal-prior ensemble
-    {Gamma(sigma)|psi>}, from the Gram matrix: (1/n!) sum of squared diagonal
-    entries of its PSD square root."""
-    nfact = math.factorial(n)
-    if nfact > PGM_GROUP_CAP:
-        raise CapacityError(f"n! = {nfact} exceeds the Gram-matrix cap {PGM_GROUP_CAP}")
-    states = signal.amplitudes[_gamma_indices(n, d)[1]]
-    gram = states.conj() @ states.T
-    herm_resid = np.abs(gram - gram.conj().T).max()
-    if herm_resid > 1e-10:
-        raise InternalQsimError(f"Gram matrix not Hermitian: residual {herm_resid:.3e}")
-    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    if evals.min() < -1e-10:
-        raise InternalQsimError(f"Gram matrix not PSD: min eigenvalue {evals.min():.3e}")
-    clipped = np.where(evals < PSD_CLIP, 0.0, evals)
-    sqrt_gram = (evecs * np.sqrt(clipped)) @ evecs.conj().T
-    diag = np.real(np.diag(sqrt_gram))
-    return float(np.sum(diag**2) / nfact)
+    {Gamma(sigma)|psi>}: <psi|S^(-1/2)|psi>^2, with S the frame operator
+    sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger taken on its support
+    (eigenvalues below ``PSD_CLIP`` dropped).
+
+    Every Gamma(sigma) commutes with S, so each state of the ensemble is
+    identified with this same probability.  S is diagonalised in blocks, see
+    ``_frame_blocks``: for the optimal signal one block per weight sector, of
+    at most 210 at (7,3), where the Gram matrix of the orbit is 5040 x 5040.
+    """
+    psi = signal.amplitudes
+    root = 0.0
+    for index, evals, evecs in _frame_blocks(psi, n, d):
+        kept = evals >= PSD_CLIP
+        overlaps = evecs[:, kept].conj().T @ psi[index]
+        root += float(np.sum(np.abs(overlaps) ** 2 / np.sqrt(evals[kept])))
+    return root**2
+
+
+def orbit_rank(
+    n: int, d: int, seed: int, sector: tuple[int, ...] | None = None
+) -> tuple[int, float]:
+    """Dimension of the span of the orbit {Gamma(sigma) psi} of a real Gaussian
+    psi, and the spectral gap that separates it from zero.
+
+    The rank is the number of eigenvalues of the frame operator S (see
+    ``_frame_blocks``) above ``RANK_RTOL`` times the largest; the gap ratio is
+    the smallest of them over the largest magnitude below (infinite when that
+    is exactly zero).  Any pure signal identifies the permutation with
+    probability at most rank / n!, and a generic psi spans sum over diagrams of
+    D * min(m, D) dimensions.  With ``sector`` (the count of each of the d
+    colors) psi is restricted to that weight sector, which a generic psi spans
+    whole: n! / prod(counts!) dimensions.
+    """
+    psi = np.random.default_rng(seed).normal(size=d**n)
+    if sector is not None:
+        if len(sector) != d or sum(sector) != n or min(sector) < 0:
+            raise ValueError(f"sector must give a count >= 0 for each of {d} colors, summing to {n}")
+        psi[(_color_counts(n, d) != np.asarray(sector)).any(axis=1)] = 0.0
+    psi /= np.linalg.norm(psi)  # a unit psi keeps tr S = n!
+    evals = np.concatenate([e for _, e, _ in _frame_blocks(psi, n, d)])
+    kept = evals > RANK_RTOL * evals.max()
+    below = np.abs(evals[~kept]).max(initial=0.0)
+    gap = evals[kept].min() / below if below > 0 else math.inf
+    return int(kept.sum()), float(gap)
 
 
 _Blocks = list[tuple[np.ndarray, np.ndarray]]  # (sector indices, real orthonormal columns on it)
@@ -386,8 +461,8 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
     indices across copies, as the completeness constraint requires.
     """
     dim_v = d**n
-    if dim_v > 1024 or n > 6:
-        raise CapacityError(f"optimal-state construction capped at d^n <= 1024, n <= 6")
+    if dim_v > DIMENSION_CAP:
+        raise CapacityError(f"d^n = {dim_v} exceeds the dense-operator cap {DIMENSION_CAP}")
     rng = np.random.default_rng(rng_seed)
     perms, indices = _gamma_indices(n, d)
     # generic Hermitian elements of the group algebra (act as M_D x Id_m)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from permcode.cli import main
+from permcode.cli import _int_str, main
 
 
 def run_cli(capsys, argv):
@@ -119,6 +119,27 @@ def test_classical_command(capsys):
     code, out, _ = run_cli(capsys, ["classical", "--n", "6", "--d", "3"])
     assert code == 0
     assert "p_classical = 1/8 (0.125)" in out
+
+
+def test_int_str_digit_limit():
+    assert _int_str(10**4300 - 1) == "9" * 4300
+    assert _int_str(10**4299) == "1" + "0" * 4299
+    assert _int_str(10**4300) == "<4301-digit integer, above the 4300-digit print limit>"
+    assert _int_str(2**14284) == str(2**14284)  # 4300 digits: the count is checked, not guessed
+    assert _int_str(2**14286).startswith("<4301-digit integer")
+
+
+def test_long_rationals_print_digit_count(capsys):
+    code, out, _ = run_cli(capsys, ["classical", "--n", "3000", "--d", "2"])
+    assert code == 0
+    assert "p_classical = 1/<8230-digit integer, above the 4300-digit print limit> (0)" in out
+    argv = ["pmax", "--n", "2000", "--d", "200", "--samples", "20"]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["info_bound_exact"].endswith("/<4787-digit integer, above the 4300-digit print limit>")
 
 
 def test_sweep_csv_schema(capsys):

@@ -7,13 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permcode.coding import CodingInstance, quantum_pmax_exact
+from permcode.coding import CodingInstance, balanced_color_classes, classical_success, quantum_pmax_exact
 from permcode.qsim import (
+    PSD_CLIP,
     CovariantPovm,
     InternalQsimError,
     SignalState,
     _complete_covariant,
     _embed,
+    _frame_blocks,
     _gamma_index,
     _gamma_indices,
     _group_algebra_element,
@@ -28,6 +30,7 @@ from permcode.qsim import (
     cycle_type,
     invert,
     n3_irrep_basis,
+    orbit_rank,
     orthogonality_check_n3,
     pgm_success,
     success_probability,
@@ -83,6 +86,16 @@ def test_gamma_capacity():
     build_gamma(tuple(range(7)), 7, 2)  # 2^7 = 128 is fine
     with pytest.raises(CapacityError):
         build_gamma(tuple(range(13)), 13, 2)  # 2^13 = 8192 exceeds the cap
+
+
+def test_orbit_capacity():
+    # 9! * 2^9 stacked indices would take 1.5 GB: refused before any permutation is listed
+    with pytest.raises(CapacityError):
+        _gamma_indices(9, 2)
+    with pytest.raises(CapacityError):
+        orbit_rank(9, 2, seed=0)
+    with pytest.raises(CapacityError):
+        build_optimal_signal(7, 4)  # 4^7 = 16384 exceeds the dense-operator cap
 
 
 def _digit_loop_gamma(perm, n, d):
@@ -339,12 +352,51 @@ def test_pgm_never_beats_formula_n3():
 
 @pytest.mark.parametrize(
     "n,d",
-    [(3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 3)],
+    [(3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 3), (7, 2), (8, 2), (7, 3)],
 )
 def test_optimal_signal_achieves_formula(n, d):
     exact = float(quantum_pmax_exact(CodingInstance(n, d)).p_quantum)
     signal = build_optimal_signal(n, d)
     assert pgm_success(signal, n, d) == pytest.approx(exact, abs=1e-8)
+
+
+def _gram_pgm(psi, n, d):
+    """Reference PGM from the n! x n! Gram matrix of the orbit: (1/n!) sum of
+    squared diagonal entries of its PSD square root."""
+    states = psi[_gamma_indices(n, d)[1]]
+    gram = states.conj() @ states.T
+    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+    clipped = np.where(evals < PSD_CLIP, 0.0, evals)
+    sqrt_gram = (evecs * np.sqrt(clipped)) @ evecs.conj().T
+    return float(np.sum(np.real(np.diag(sqrt_gram)) ** 2) / len(gram))
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_pgm_matches_gram_oracle_random_state(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    for _ in range(3):
+        v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+        psi = v / np.linalg.norm(v)
+        assert len(_frame_blocks(psi, n, d)) == 1  # off-sector mass: the whole space is one block
+        assert abs(pgm_success(SignalState(psi, n, d), n, d) - _gram_pgm(psi, n, d)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
+def test_pgm_matches_gram_oracle_optimal_signal(n, d):
+    signal = build_optimal_signal(n, d)
+    assert len(_frame_blocks(signal.amplitudes, n, d)) == len(_weight_sectors(n, d))
+    assert abs(pgm_success(signal, n, d) - _gram_pgm(signal.amplitudes, n, d)) <= 1e-10
+
+
+def test_frame_blocks_choice():
+    signal = build_optimal_signal(6, 3)
+    blocks = [index for index, _, _ in _frame_blocks(signal.amplitudes, 6, 3)]
+    sectors = _weight_sectors(6, 3)
+    assert len(blocks) == len(sectors)
+    assert all(np.array_equal(b, s) for b, s in zip(blocks, sectors))
+    v = np.random.default_rng(0).normal(size=3**6)
+    (whole, _, _), = _frame_blocks(v / np.linalg.norm(v), 6, 3)
+    assert np.array_equal(whole, np.arange(3**6))
 
 
 def test_optimal_signal_memory_peak():
@@ -366,6 +418,36 @@ def test_optimal_signal_42_adjudication():
     # constructed state confirms it is achievable (and below the 2/3 bound)
     signal = build_optimal_signal(4, 2)
     assert pgm_success(signal, 4, 2) == pytest.approx(0.5, abs=1e-8)
+
+
+# ----------------------------------------------------- orbit rank (converse)
+
+ORBIT_CASES = [(3, 2), (4, 2), (5, 4), (6, 3), (7, 2), (8, 2)]
+MIN_GAP_RATIO = 1e6
+
+
+@pytest.mark.parametrize("n,d", ORBIT_CASES)
+def test_orbit_rank_is_dim_w(n, d):
+    # a generic orbit spans sum D * min(m, D) = n! * P_max dimensions
+    rank, gap = orbit_rank(n, d, seed=1)
+    assert rank == quantum_pmax_exact(CodingInstance(n, d)).dim_w
+    assert gap >= MIN_GAP_RATIO
+
+
+@pytest.mark.parametrize("n,d", ORBIT_CASES)
+def test_orbit_rank_balanced_sector_is_classical(n, d):
+    # a signal with fixed color counts spans its sector, n! / prod(counts!) dimensions
+    sizes = balanced_color_classes(n, d)
+    rank, gap = orbit_rank(n, d, seed=1, sector=tuple(sizes + [0] * (d - len(sizes))))
+    assert rank == math.factorial(n) * classical_success(CodingInstance(n, d))
+    assert gap >= MIN_GAP_RATIO
+
+
+def test_orbit_rank_rejects_bad_sector():
+    with pytest.raises(ValueError):
+        orbit_rank(4, 2, seed=0, sector=(2, 1))
+    with pytest.raises(ValueError):
+        orbit_rank(4, 2, seed=0, sector=(2, 2, 0))
 
 
 # --------------------------------------------------------- orthogonality
