@@ -67,21 +67,29 @@ class BoundCheckReport:
 
 @dataclass
 class McEstimate:
-    """Monte Carlo estimate of the optimal success probability."""
+    """Monte Carlo estimate of the optimal success probability,
+    ratio * e^log_scale with error bar ratio_stderr * e^log_scale."""
 
     n: int
     d: int
     samples: int
     seed: int
     method: str
-    estimate: float
-    stderr: float
-    # the raw sampled mean before any rescaling by the counting bound
+    # the raw sampled mean, relative to the scale e^log_scale it estimates against
     ratio: float
     ratio_stderr: float
+    log_scale: float
     # draws from the diagrams that carry the gap between the estimate and its
     # trivial bound; with none, ratio_stderr is the rule-of-three bound
     informative: int
+
+    @property
+    def estimate(self) -> float:
+        return times_exp(self.ratio, self.log_scale)
+
+    @property
+    def stderr(self) -> float:
+        return times_exp(self.ratio_stderr, self.log_scale)
 
 
 @dataclass
@@ -90,12 +98,19 @@ class SweepRow:
     n_colors: int
     ratio: float
     method: str
-    p_quantum: float
-    p_quantum_exact: Fraction | None
-    stderr: float | None
+    p_quantum_exact: Fraction | None  # exact rows
+    estimate: McEstimate | None  # sampled rows
     p_classical: Fraction
     info_bound: Fraction
     ratio_to_bound: float
+
+
+def times_exp(x: float, log_scale: float) -> float:
+    """x * e^log_scale for x >= 0 as a float, which is 0 or inf where it leaves the float range."""
+    try:
+        return x * math.exp(log_scale)
+    except OverflowError:
+        return math.inf if x else 0.0
 
 
 @lru_cache(maxsize=65536)
@@ -187,7 +202,12 @@ def kerov_row_bound_check(n: int, d: int, cap: int | None = None) -> BoundCheckR
     mu(rho) <= exp(-r1 * (2 * (ln(r1/sqrt(n)) - 1) - 1/(2r))) with r1 the
     first-row length and r = d/n.  Stated asymptotically, so violations are
     reported, not asserted."""
-    r = d / n
+    if n < 1 or d < 1:
+        raise ValueError(f"need n, d >= 1, got ({n}, {d})")
+    try:
+        r = d / n
+    except OverflowError:  # d/n beyond the float range, where 1/(2r) is 0
+        r = math.inf
     sqrt_n = math.sqrt(n)
     log_dn = n * math.log(d)
     report = BoundCheckReport(
@@ -302,11 +322,9 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
         log_weight_cap = min(-log_alpha, log_bound - log_beta) - log_scale
         unseen_mass = 1.0 - RULE_OF_THREE_MISS ** (1.0 / sample_count)
         ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap) * unseen_mass)
-    scale = math.exp(log_scale)
     return McEstimate(
         n=n, d=d, samples=sample_count, seed=seed, method=method,
-        estimate=ratio * scale, stderr=ratio_stderr * scale,
-        ratio=ratio, ratio_stderr=ratio_stderr, informative=informative,
+        ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative,
     )
 
 
@@ -340,9 +358,13 @@ def pmax_estimate_schur_weyl(n: int, d: int, sample_count: int, seed: int) -> Mc
     return _mixture_estimate(n, d, sample_count, seed, 0.0, "schur-weyl-mc")
 
 
-def choose_estimator(ratio: float):
-    """Estimator selection rule: Plancherel above the critical ratio, Schur-Weyl below."""
-    return pmax_estimate_plancherel if ratio > CRITICAL_RATIO else pmax_estimate_schur_weyl
+def choose_method(instance: CodingInstance, cap: int) -> str:
+    """The ``--method auto`` rule: "exact" up to the enumeration cap, else the
+    estimator for the instance's own d/N, "plancherel" above the critical
+    ratio and "schur-weyl" at or below it."""
+    if instance.n_boxes <= cap:
+        return "exact"
+    return "plancherel" if instance.above_critical else "schur-weyl"
 
 
 def threshold_sweep(
@@ -353,38 +375,34 @@ def threshold_sweep(
     cap: int | None = None,
 ) -> list[SweepRow]:
     """For each N in n_list, set d = max(1, floor(ratio * N)) and compute the
-    quantum success probability: exactly below the enumeration cap, by the
-    regime-appropriate Monte Carlo estimator above it."""
+    quantum success probability by the method ``choose_method`` picks: exactly
+    up to the enumeration cap, by the estimator for d/N above it.  The i-th
+    sampled row uses seed + i."""
     cap_val = DEFAULT_ENUMERATION_CAP if cap is None else cap
     out: list[SweepRow] = []
     for i, n in enumerate(n_list):
         if n < 1:
             raise ValueError(f"n_list entries must be positive, got {n}")
+        if not math.isfinite(ratio * n):
+            raise ValueError(f"ratio * N must be finite, got {ratio} * {n}")
         d = max(1, math.floor(ratio * n))
         inst = CodingInstance(n, d)
         bound = info_bound(inst)
-        if n <= cap_val:
+        method = choose_method(inst, cap_val)
+        if method == "exact":
             rep = quantum_pmax_exact(inst, cap=cap_val)
-            p_exact = rep.p_quantum
-            assert isinstance(p_exact, Fraction)
-            out.append(
-                SweepRow(
-                    n_boxes=n, n_colors=d, ratio=d / n, method=rep.method,
-                    p_quantum=float(p_exact), p_quantum_exact=p_exact, stderr=None,
-                    p_classical=rep.p_classical, info_bound=bound,
-                    ratio_to_bound=float(p_exact / bound),
-                )
-            )
+            p_exact, est, method = rep.p_quantum, None, rep.method
+            rtb = float(p_exact / bound)
         else:
-            est = choose_estimator(ratio)(n, d, sample_count, seed + i)
+            estimator = pmax_estimate_plancherel if method == "plancherel" else pmax_estimate_schur_weyl
+            p_exact, est = None, estimator(n, d, sample_count, seed + i)
+            method = est.method
             log_bound = min(0.0, n * math.log(d) - math.lgamma(n + 1))
-            rtb = est.estimate / math.exp(log_bound)
-            out.append(
-                SweepRow(
-                    n_boxes=n, n_colors=d, ratio=d / n, method=est.method,
-                    p_quantum=est.estimate, p_quantum_exact=None, stderr=est.stderr,
-                    p_classical=classical_success(inst), info_bound=bound,
-                    ratio_to_bound=rtb,
-                )
+            rtb = times_exp(est.ratio, est.log_scale - log_bound)
+        out.append(
+            SweepRow(
+                n_boxes=n, n_colors=d, ratio=d / n, method=method, p_quantum_exact=p_exact,
+                estimate=est, p_classical=classical_success(inst), info_bound=bound, ratio_to_bound=rtb,
             )
+        )
     return out

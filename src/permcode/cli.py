@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from collections import Counter
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +23,15 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     HARDY_RAMANUJAN_C,
-    CRITICAL_RATIO,
+    McEstimate,
+    choose_method,
     erdos_bound_check,
     kerov_bound_check,
     kerov_row_bound_check,
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
     threshold_sweep,
+    times_exp,
 )
 from .coding import CodingInstance, classical_success, info_bound, quantum_pmax_exact
 from .qsim import (
@@ -55,6 +58,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 LOG10_2 = math.log10(2)
+_WIDE = Context(prec=30)  # for values whose scale leaves the float range
+VERIFY_SUITES = ("n3", "symmetrize", "classical", "all")
+SYMMETRIZE_POVMS = 20  # random POVMs per symmetrize suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,30 +137,49 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
+def _scaled_str(x: float, log_scale: float) -> str:
+    """x * e^log_scale as ``dec_str`` prints it when the scale e^log_scale is a
+    normal float, else as ``<mantissa>e<exponent>`` to the same 12 digits."""
+    if x == 0.0 or sys.float_info.min <= times_exp(1.0, log_scale) < math.inf:
+        return dec_str(times_exp(x, log_scale))
+    value = _WIDE.multiply(Decimal(x), _WIDE.exp(Decimal(log_scale)))
+    mantissa, exponent = f"{value:.11e}".split("e")
+    return f"{dec_str(float(mantissa))}e{int(exponent):+03d}"
+
+
+def _quantum_columns(
+    method: str, p_exact: Fraction | None, est: McEstimate | None, p_classical: Fraction, bound: Fraction
+) -> dict:
+    """The columns that pmax and sweep share, for an exact value or an estimate."""
+    if est is None:
+        quantum = {"p_quantum": dec_str(p_exact), "p_quantum_exact": frac_str(p_exact), "stderr": ""}
+    else:
+        quantum = {
+            "p_quantum": _scaled_str(est.ratio, est.log_scale), "p_quantum_exact": "",
+            "stderr": _scaled_str(est.ratio_stderr, est.log_scale),
+        }
+    return {
+        "method": method, **quantum,
+        "p_classical": dec_str(p_classical), "p_classical_exact": frac_str(p_classical),
+        "info_bound": dec_str(bound), "info_bound_exact": frac_str(bound),
+    }
+
+
 def cmd_pmax(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
     inst = CodingInstance(args.n, args.d)
-    method = args.method
-    if method == "auto":
-        method = "exact" if args.n <= cap else (
-            "plancherel" if inst.ratio > CRITICAL_RATIO else "schur-weyl"
-        )
+    method = choose_method(inst, cap) if args.method == "auto" else args.method
     if method == "exact":
         rep = quantum_pmax_exact(inst, cap=cap)
-        p = rep.p_quantum
         row = {
-            "n": args.n, "d": args.d, "method": rep.method,
-            "p_quantum": dec_str(p), "p_quantum_exact": frac_str(p), "stderr": "",
-            "p_classical": dec_str(rep.p_classical),
-            "p_classical_exact": frac_str(rep.p_classical),
-            "info_bound": dec_str(rep.p_info_bound),
-            "info_bound_exact": frac_str(rep.p_info_bound),
+            "n": args.n, "d": args.d,
+            **_quantum_columns(rep.method, rep.p_quantum, None, rep.p_classical, rep.p_info_bound),
             "dim_w": rep.dim_w, "informative_draws": "",
         }
         lines = [
-            f"p_quantum = {frac_str(p)} ({dec_str(p)})",
-            f"p_classical = {frac_str(rep.p_classical)} ({dec_str(rep.p_classical)})",
-            f"info_bound = {frac_str(rep.p_info_bound)} ({dec_str(rep.p_info_bound)})",
+            f"p_quantum = {row['p_quantum_exact']} ({row['p_quantum']})",
+            f"p_classical = {row['p_classical_exact']} ({row['p_classical']})",
+            f"info_bound = {row['info_bound_exact']} ({row['info_bound']})",
             f"dim_w = {rep.dim_w}",
             f"min_side_counts = {rep.min_side_counts}",
         ]
@@ -162,13 +187,8 @@ def cmd_pmax(args: argparse.Namespace) -> None:
         fn = pmax_estimate_plancherel if method == "plancherel" else pmax_estimate_schur_weyl
         est = fn(args.n, args.d, args.samples, args.seed)
         row = {
-            "n": args.n, "d": args.d, "method": est.method,
-            "p_quantum": dec_str(est.estimate), "p_quantum_exact": "",
-            "stderr": dec_str(est.stderr),
-            "p_classical": dec_str(classical_success(inst)),
-            "p_classical_exact": frac_str(classical_success(inst)),
-            "info_bound": dec_str(info_bound(inst)),
-            "info_bound_exact": frac_str(info_bound(inst)),
+            "n": args.n, "d": args.d,
+            **_quantum_columns(est.method, None, est, classical_success(inst), info_bound(inst)),
             "dim_w": "", "informative_draws": est.informative,
         }
         if est.informative:
@@ -178,7 +198,7 @@ def cmd_pmax(args: argparse.Namespace) -> None:
         else:
             bar_kind = "one possible shape, exact"
         lines = [
-            f"p_quantum = {dec_str(est.estimate)} +/- {dec_str(est.stderr)} ({est.method})",
+            f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({est.method})",
             f"sampled_mean = {dec_str(est.ratio)} +/- {dec_str(est.ratio_stderr)}",
             f"informative_draws = {est.informative} of {est.samples} ({bar_kind})",
         ]
@@ -198,22 +218,15 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     rows_out = []
     lines = []
     for r in threshold_sweep(args.r, n_list, seed=args.seed, sample_count=args.samples, cap=cap):
-        rows_out.append(
-            {
-                "n": r.n_boxes, "d": r.n_colors, "r": dec_str(r.ratio), "method": r.method,
-                "p_quantum": dec_str(r.p_quantum),
-                "p_quantum_exact": frac_str(r.p_quantum_exact) if r.p_quantum_exact is not None else "",
-                "stderr": dec_str(r.stderr) if r.stderr is not None else "",
-                "p_classical": dec_str(r.p_classical),
-                "p_classical_exact": frac_str(r.p_classical),
-                "info_bound": dec_str(r.info_bound),
-                "info_bound_exact": frac_str(r.info_bound),
-                "ratio_to_bound": dec_str(r.ratio_to_bound),
-            }
-        )
+        row = {
+            "n": r.n_boxes, "d": r.n_colors, "r": dec_str(r.ratio),
+            **_quantum_columns(r.method, r.p_quantum_exact, r.estimate, r.p_classical, r.info_bound),
+            "ratio_to_bound": dec_str(r.ratio_to_bound),
+        }
+        rows_out.append(row)
         lines.append(
-            f"N={r.n_boxes} d={r.n_colors} p_quantum={dec_str(r.p_quantum)} "
-            f"({r.method}) ratio_to_bound={dec_str(r.ratio_to_bound)}"
+            f"N={r.n_boxes} d={r.n_colors} p_quantum={row['p_quantum']} "
+            f"({r.method}) ratio_to_bound={row['ratio_to_bound']}"
         )
     _emit(args, _meta(args, cap, {"r": args.r, "samples": args.samples}), rows_out, lines)
 
@@ -235,57 +248,40 @@ def cmd_sample(args: argparse.Namespace) -> None:
     _emit(args, _meta(args, cap, {"measure": args.measure, "count": args.count}), rows, lines)
 
 
-def _verify_n3_checks() -> list[dict]:
-    checks = []
+def _verify_n3_checks() -> list[tuple[str, float, float]]:
     signal, povm = build_n3_example()
     psi = signal.amplitudes
     overlap_resid = max(
         abs(abs(psi.conj() @ build_gamma(p, 3, 2).matrix @ psi) - 0.2)
         for p in all_perms(3) if p != (0, 1, 2)
     )
-    checks.append({"check_name": "overlap-one-fifth", "max_residual": overlap_resid, "tolerance": 1e-12})
     total = sum(povm.elements().values()) + povm.completion
-    checks.append({
-        "check_name": "povm-completeness",
-        "max_residual": float(np.abs(total - np.eye(8)).max()),
-        "tolerance": 1e-10,
-    })
-    checks.append({
-        "check_name": "success-five-sixths",
-        "max_residual": abs(success_probability(signal, povm) - 5 / 6),
-        "tolerance": 1e-10,
-    })
-    checks.append({
-        "check_name": "pgm-matches-povm",
-        "max_residual": abs(pgm_success(signal, 3, 2) - success_probability(signal, povm)),
-        "tolerance": 1e-8,
-    })
+    p_povm = success_probability(signal, povm)
     orth = orthogonality_check_n3()
-    checks.append({
-        "check_name": "orthogonality-relations",
-        "max_residual": max(
-            orth["cross_irrep_residual"], orth["same_irrep_residual"], orth["alignment_residual"]
-        ),
-        "tolerance": orth["tolerance"],
-    })
-    checks.append({
-        "check_name": "phi-copy-projections",
-        "max_residual": max(
-            abs(v - orth["phi_projection_target"]) for v in orth["phi_projection_sq_norms"].values()
-        ),
-        "tolerance": orth["tolerance"],
-    })
-    return checks
+    relations = (orth["cross_irrep_residual"], orth["same_irrep_residual"], orth["alignment_residual"])
+    # D/n! of the two-dimensional irrep of S_3
+    copies = max(abs(v - 2 / 6) for v in orth["phi_projection_sq_norms"].values())
+    return [
+        ("overlap-one-fifth", overlap_resid, 1e-12),
+        ("povm-completeness", np.abs(total - np.eye(8)).max(), 1e-10),
+        ("success-five-sixths", abs(p_povm - 5 / 6), 1e-10),
+        ("pgm-matches-povm", abs(pgm_success(signal, 3, 2) - p_povm), 1e-8),
+        ("orthogonality-relations", max(relations), 1e-12),
+        ("phi-copy-projections", copies, 1e-12),
+    ]
 
 
-def _verify_symmetrize_checks(seed: int, count: int = 20) -> list[dict]:
+def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(seed)
     n, d = 3, 2
     dim = d**n
     perms = all_perms(n)
+    gammas = {p: build_gamma(p, n, d).matrix for p in perms}
+    signal, _ = build_n3_example()
+    psi = signal.amplitudes
     max_cov = 0.0
     max_success_shift = 0.0
-    for _ in range(count):
+    for _ in range(SYMMETRIZE_POVMS):
         # random POVM: normalized conjugated random PSD matrices
         raws = []
         for _ in perms:
@@ -297,57 +293,54 @@ def _verify_symmetrize_checks(seed: int, count: int = 20) -> list[dict]:
         raw = {p: inv_sqrt @ e @ inv_sqrt for p, e in zip(perms, raws)}
         cov = symmetrize_povm(raw, n, d)
         averaged = symmetrize_elements(raw, n, d)
-        for p in perms:
-            g = build_gamma(p, n, d).matrix
+        for p, g in gammas.items():
             max_cov = max(
                 max_cov,
                 float(np.abs(averaged[p] - g @ cov.seed_operator @ g.conj().T).max()),
             )
-        signal, _ = build_n3_example()
-        psi = signal.amplitudes
-        nfact = len(perms)
         raw_success = sum(
-            np.real(
-                (build_gamma(p, n, d).matrix @ psi).conj()
-                @ raw[p]
-                @ (build_gamma(p, n, d).matrix @ psi)
-            )
-            for p in perms
-        ) / nfact
+            np.real((g @ psi).conj() @ raw[p] @ (g @ psi)) for p, g in gammas.items()
+        ) / len(perms)
         max_success_shift = max(
             max_success_shift, abs(success_probability(signal, cov) - raw_success)
         )
     return [
-        {"check_name": "symmetrized-covariance", "max_residual": max_cov, "tolerance": 1e-12},
-        {"check_name": "symmetrized-success-preserved", "max_residual": max_success_shift, "tolerance": 1e-12},
+        ("symmetrized-covariance", max_cov, 1e-12),
+        ("symmetrized-success-preserved", max_success_shift, 1e-12),
     ]
 
 
-def _verify_classical_checks(seed: int) -> list[dict]:
+def _verify_classical_checks(seed: int) -> list[tuple[str, float, float]]:
     checks = []
     for n, d, target in ((3, 2, 0.5), (4, 2, 0.25)):
         p_hat, stderr = classical_channel_mc(n, d, 100_000, seed)
-        sigma = max(stderr, 1e-12)
-        checks.append({
-            "check_name": f"classical-channel-{n}-{d}",
-            "max_residual": abs(p_hat - target) / sigma,
-            "tolerance": 4.0,
-        })
+        checks.append((f"classical-channel-{n}-{d}", abs(p_hat - target) / max(stderr, 1e-12), 4.0))
     return checks
+
+
+def verify_checks(suite: str, seed: int) -> list[dict]:
+    """The checks of one verify suite, each a dict of check_name, max_residual,
+    tolerance and pass.  ``suite`` is one of ``VERIFY_SUITES``; "all" runs the
+    other three.  ``seed`` drives the random POVMs of "symmetrize" and the
+    trials of "classical"."""
+    if suite not in VERIFY_SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
+    checks = []
+    if suite in ("n3", "all"):
+        checks.extend(_verify_n3_checks())
+    if suite in ("symmetrize", "all"):
+        checks.extend(_verify_symmetrize_checks(seed))
+    if suite in ("classical", "all"):
+        checks.extend(_verify_classical_checks(seed))
+    return [
+        {"check_name": name, "max_residual": float(resid), "tolerance": tol, "pass": bool(resid <= tol)}
+        for name, resid, tol in checks
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
-    checks: list[dict] = []
-    if args.suite in ("n3", "all"):
-        checks.extend(_verify_n3_checks())
-    if args.suite in ("symmetrize", "all"):
-        checks.extend(_verify_symmetrize_checks(args.seed))
-    if args.suite in ("classical", "all"):
-        checks.extend(_verify_classical_checks(args.seed))
-    for c in checks:
-        c["pass"] = bool(c["max_residual"] <= c["tolerance"])
-        c["max_residual"] = float(c["max_residual"])
+    checks = verify_checks(args.suite, args.seed)
     lines = [
         f"{'PASS' if c['pass'] else 'FAIL'} {c['check_name']}: "
         f"residual {c['max_residual']:.3e} (tol {c['tolerance']:.0e})"
@@ -362,6 +355,8 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
+    if args.kerov_n < 1:
+        raise ValueError(f"--kerov-n must be >= 1, got {args.kerov_n}")
     reports = []
     for n in range(1, args.kerov_n + 1):
         reports.append(kerov_bound_check(n, cap=cap))
@@ -433,7 +428,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("verify", help="matrix-level verification suites")
-    p.add_argument("--suite", choices=("n3", "symmetrize", "classical", "all"), default="all")
+    p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_verify)

@@ -40,8 +40,10 @@ class CodingInstance:
             )
 
     @property
-    def ratio(self) -> float:
-        return self.n_colors / self.n_boxes
+    def above_critical(self) -> bool:
+        """d/N > CRITICAL_RATIO, decided exactly: no float division, so d may
+        exceed the float range."""
+        return Fraction(self.n_colors, self.n_boxes) > CRITICAL_RATIO
 
 
 @dataclass
@@ -49,19 +51,13 @@ class CodingReport:
     """Computed probabilities for one instance, with the method recorded."""
 
     instance: CodingInstance
-    p_quantum: Fraction | tuple[float, float]  # exact, or (estimate, stderr)
+    p_quantum: Fraction
     p_classical: Fraction
     p_info_bound: Fraction
-    method: str  # "exact-enumeration" | "plancherel-mc" | "schur-weyl-mc"
+    method: str  # "exact-enumeration"
     dim_w: int | None = None
     # per-diagram min(m, D) outcome counts: which side of the min wins
     min_side_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def p_quantum_float(self) -> float:
-        if isinstance(self.p_quantum, Fraction):
-            return float(self.p_quantum)
-        return self.p_quantum[0]
 
 
 def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> CodingReport:
@@ -87,7 +83,7 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
             "use the Monte Carlo estimators in permcode.asymptotics"
         )
     nfact = math.factorial(n)
-    above = instance.ratio > CRITICAL_RATIO
+    above = instance.above_critical
     gap, strict, ties = _gap_side(n, d, above)
     if above:
         dim_w = nfact - gap - _zero_mult_mass(n, d)

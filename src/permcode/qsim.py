@@ -29,7 +29,6 @@ ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbi
 
 PSD_CLIP = 1e-12
 COMPLETENESS_TOL = 1e-10
-COVARIANCE_TOL = 1e-12
 SECTOR_TOL = 1e-10  # largest relative off-sector part of S v for a sector-blocked frame operator
 RANK_RTOL = 1e-9  # eigenvalues of S above this share of the largest count towards the orbit rank
 
@@ -120,10 +119,6 @@ class CovariantPovm:
     n: int
     d: int
 
-    @property
-    def group_order(self) -> int:
-        return math.factorial(self.n)
-
     def element(self, perm: Perm) -> np.ndarray:
         idx = build_gamma(perm, self.n, self.d).index
         return self.seed_operator[np.ix_(idx, idx)]
@@ -160,12 +155,16 @@ def build_gamma(perm: Perm, n: int, d: int) -> PermutationOperator:
 
 def _gamma_indices(n: int, d: int) -> tuple[list[Perm], np.ndarray]:
     """All permutations in ``all_perms`` order and their stacked Gamma indices,
-    shape (n!, d^n); n! * d^n is capped at ``ORBIT_CAP``."""
+    shape (n!, d^n); d^n is capped at ``DIMENSION_CAP`` and n! * d^n at
+    ``ORBIT_CAP``.  The indices are built here, not through the cache of
+    ``build_gamma``, which holds fewer than the 5040 permutations of n = 7."""
+    if d**n > DIMENSION_CAP:
+        raise CapacityError(f"d^n = {d**n} exceeds the dense-operator cap {DIMENSION_CAP}")
     size = math.factorial(n) * d**n
     if size > ORBIT_CAP:
         raise CapacityError(f"n! * d^n = {size} exceeds the orbit cap {ORBIT_CAP}")
     perms = all_perms(n)
-    return perms, np.stack([build_gamma(p, n, d).index for p in perms])
+    return perms, np.stack([_gamma_index(p, n, d) for p in perms])
 
 
 def _group_algebra_element(coeffs: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -509,9 +508,10 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
 
 
 def orthogonality_check_n3() -> dict:
-    """Verify the matrix-element orthogonality relations on the adapted basis
-    for n=3, d=2, and the squared norms D/n! of the optimal state's projections
-    onto the two equivalent two-dimensional copies."""
+    """Residuals of the matrix-element orthogonality relations on the adapted
+    basis for n=3, d=2, and the squared norms of the optimal state's
+    projections onto the two equivalent two-dimensional copies, which should
+    be D/n! = 1/3.  The tolerances are those of ``cli.verify_checks``."""
     basis = n3_irrep_basis()
     perms = all_perms(3)
     copies = {
@@ -557,21 +557,11 @@ def orthogonality_check_n3() -> dict:
         block = np.stack([basis[nm] for nm in copies[("std", b_idx)]]).T
         comp = block.conj().T @ phi
         proj_norms[b_idx] = float(np.real(comp.conj() @ comp))
-    tol = 1e-12
     return {
         "cross_irrep_residual": float(cross_resid),
         "same_irrep_residual": float(same_resid),
         "alignment_residual": float(aligned_resid),
-        "basis_adjusted": False,
         "phi_projection_sq_norms": proj_norms,
-        "phi_projection_target": 2 / 6,
-        "tolerance": tol,
-        "pass": bool(
-            cross_resid <= tol
-            and same_resid <= tol
-            and aligned_resid <= tol
-            and all(abs(v - 2 / 6) <= tol for v in proj_norms.values())
-        ),
     }
 
 

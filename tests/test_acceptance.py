@@ -19,8 +19,6 @@ import pathlib
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from permcode.asymptotics import (
     HARDY_RAMANUJAN_C,
     erdos_bound_check,
@@ -29,18 +27,8 @@ from permcode.asymptotics import (
     pmax_estimate_schur_weyl,
     threshold_sweep,
 )
+from permcode.cli import SYMMETRIZE_POVMS, verify_checks
 from permcode.coding import CodingInstance, classical_success, quantum_pmax_exact
-from permcode.qsim import (
-    all_perms,
-    build_gamma,
-    build_n3_example,
-    classical_channel_mc,
-    orthogonality_check_n3,
-    pgm_success,
-    success_probability,
-    symmetrize_elements,
-    symmetrize_povm,
-)
 from permcode.young import dim_irrep, dim_mult_ratio, enumerate_partitions, multiplicity
 
 
@@ -96,24 +84,31 @@ def test_criterion_01_exact_example():
     _report(1, ok, f"p_quantum={p_q}, p_classical={p_c}, {elapsed:.3f}s")
 
 
+def _checks(suite: str, seed: int) -> dict[str, dict]:
+    return {c["check_name"]: c for c in verify_checks(suite, seed)}
+
+
+def _within(checks: dict[str, dict], tolerances: dict[str, float]) -> bool:
+    """Every named check ran with exactly the criterion's tolerance and passed."""
+    return all(
+        name in checks and checks[name]["tolerance"] == tol and checks[name]["pass"]
+        for name, tol in tolerances.items()
+    )
+
+
 def test_criterion_02_n3_simulation():
     start = time.monotonic()
-    signal, povm = build_n3_example()
-    psi = signal.amplitudes
-    overlap_resid = max(
-        abs(abs(np.vdot(psi, build_gamma(p, 3, 2).matrix @ psi)) - 0.2)
-        for p in all_perms(3)
-        if p != (0, 1, 2)
-    )
-    povm_err = abs(success_probability(signal, povm) - 5 / 6)
-    pgm_err = abs(pgm_success(signal, 3, 2) - success_probability(signal, povm))
+    checks = _checks("n3", seed=0)
     elapsed = time.monotonic() - start
-    ok = overlap_resid <= 1e-12 and povm_err <= 1e-10 and pgm_err <= 1e-8 and elapsed < 1.0
+    ok = _within(
+        checks, {"overlap-one-fifth": 1e-12, "success-five-sixths": 1e-10, "pgm-matches-povm": 1e-8}
+    ) and elapsed < 1.0
     _report(
         2,
         ok,
-        f"overlap resid {overlap_resid:.1e}, povm err {povm_err:.1e}, "
-        f"pgm err {pgm_err:.1e}, {elapsed:.3f}s",
+        f"overlap resid {checks['overlap-one-fifth']['max_residual']:.1e}, "
+        f"povm err {checks['success-five-sixths']['max_residual']:.1e}, "
+        f"pgm err {checks['pgm-matches-povm']['max_residual']:.1e}, {elapsed:.3f}s",
     )
 
 
@@ -221,51 +216,33 @@ def test_criterion_08_tail_bounds():
 
 
 def test_criterion_09_symmetrization():
-    rng = np.random.default_rng(2024)
-    signal, _ = build_n3_example()
-    psi = signal.amplitudes
-    perms = all_perms(3)
-    gammas = {p: build_gamma(p, 3, 2).matrix for p in perms}
-    max_cov = 0.0
-    max_shift = 0.0
-    for _ in range(20):
-        raws = []
-        for _ in perms:
-            m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            raws.append(m @ m.conj().T)
-        total = sum(raws)
-        evals, evecs = np.linalg.eigh(total)
-        inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
-        raw = {p: inv_sqrt @ e @ inv_sqrt for p, e in zip(perms, raws)}
-        cov = symmetrize_povm(raw, 3, 2)
-        averaged = symmetrize_elements(raw, 3, 2)
-        for p in perms:
-            resid = np.abs(averaged[p] - gammas[p] @ cov.seed_operator @ gammas[p].conj().T).max()
-            max_cov = max(max_cov, float(resid))
-        raw_success = sum(
-            np.real((gammas[p] @ psi).conj() @ raw[p] @ (gammas[p] @ psi)) for p in perms
-        ) / len(perms)
-        max_shift = max(max_shift, abs(success_probability(signal, cov) - raw_success))
-    ok = max_cov <= 1e-12 and max_shift <= 1e-12
-    _report(9, ok, f"20 random POVMs: covariance resid {max_cov:.1e}, success shift {max_shift:.1e}")
+    checks = _checks("symmetrize", seed=2024)
+    ok = SYMMETRIZE_POVMS == 20 and _within(
+        checks, {"symmetrized-covariance": 1e-12, "symmetrized-success-preserved": 1e-12}
+    )
+    _report(
+        9,
+        ok,
+        f"{SYMMETRIZE_POVMS} random POVMs: "
+        f"covariance resid {checks['symmetrized-covariance']['max_residual']:.1e}, "
+        f"success shift {checks['symmetrized-success-preserved']['max_residual']:.1e}",
+    )
 
 
 def test_criterion_10_classical_monte_carlo():
-    details = []
-    ok = True
-    for n, d, target in ((3, 2, 0.5), (4, 2, 0.25)):
-        p_hat, stderr = classical_channel_mc(n, d, 100_000, seed=17)
-        within = abs(p_hat - target) <= 4 * max(stderr, 1e-12)
-        ok = ok and within
-        details.append(f"({n},{d}): {p_hat:.4f} vs {target}")
-    _report(10, ok, "; ".join(details))
+    # the residual is |p_hat - target| in standard errors, each floored at 1e-12
+    checks = _checks("classical", seed=17)
+    names = {"classical-channel-3-2": 4.0, "classical-channel-4-2": 4.0}
+    ok = _within(checks, names)
+    _report(10, ok, "; ".join(f"{name}: {checks[name]['max_residual']:.2f} sigma" for name in names))
 
 
 def test_criterion_11_orthogonality():
-    rep = orthogonality_check_n3()
-    resid = max(
-        rep["cross_irrep_residual"], rep["same_irrep_residual"], rep["alignment_residual"]
+    checks = _checks("n3", seed=0)
+    ok = _within(checks, {"orthogonality-relations": 1e-12, "phi-copy-projections": 1e-12})
+    _report(
+        11,
+        ok,
+        f"relation resid {checks['orthogonality-relations']['max_residual']:.1e}, "
+        f"copy-projection resid {checks['phi-copy-projections']['max_residual']:.1e}",
     )
-    proj_resid = max(abs(v - 2 / 6) for v in rep["phi_projection_sq_norms"].values())
-    ok = resid <= 1e-12 and proj_resid <= 1e-12
-    _report(11, ok, f"relation resid {resid:.1e}, copy-projection resid {proj_resid:.1e}")

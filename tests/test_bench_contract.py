@@ -2,6 +2,7 @@
 A refactor that removes or renames one of them silently turns the metrics
 built from it into ``absent``; this test makes that a failure instead."""
 
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -17,3 +18,29 @@ def test_every_traced_boundary_exists(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.restore()
+
+
+def test_wrapped_bindings_are_called(monkeypatch, capsys):
+    """The wrapped names must also be the ones the CLI calls: a binding
+    captured at import (an alias, a dict, a default argument) bypasses the
+    wrapper, and the metrics built from it read 0."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    from permcode import cli
+
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        for argv in (
+            ["pmax", "--method", "exact", "--n", "10", "--d", "4"],
+            ["pmax", "--method", "plancherel", "--n", "70", "--d", "35", "--samples", "20"],
+            ["verify", "--suite", "n3"],
+        ):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    spans_per_name = Counter(tracer.names[i] for i in tracer.name_id)
+    for name in ("coding.quantum_pmax_exact", "asymptotics.pmax_estimate_plancherel", "qsim.pgm_success"):
+        assert spans_per_name[name] >= 1, name

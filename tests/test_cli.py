@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permcode.cli import _int_str, main
 
@@ -65,6 +67,88 @@ def test_pmax_exact_table_frozen(capsys, d):
     assert code == 0
     assert out == PMAX_EXACT_N30[d]
     assert "# method=exact-enumeration\n" in out
+
+
+# Output of sweeps and Monte Carlo reports that mix exact rows (at most the
+# cap, N = 66) with sampled ones, frozen before pmax and sweep shared their
+# row builder.
+SWEEP_CSV_FROZEN = "".join(
+    f"# {line}\n" for line in ("version=0.1.0", "command=sweep", "cap=66", "seed=1", "r=0.5", "samples=200")
+) + "".join(
+    f"{line}\r\n"
+    for line in (
+        "n,d,r,method,p_quantum,p_quantum_exact,stderr,p_classical,p_classical_exact,"
+        "info_bound,info_bound_exact,ratio_to_bound",
+        "4,2,0.5,exact-enumeration,0.5,1/2,,0.25,1/4,0.666666666667,2/3,0.75",
+        "6,3,0.5,exact-enumeration,0.506944444444,73/144,,0.125,1/8,1,1,0.506944444444",
+        "8,4,0.5,exact-enumeration,0.576041666667,553/960,,0.0625,1/16,1,1,0.576041666667",
+        "70,35,0.5,plancherel-mc,0.999984651236,,0.0150172113447,2.91038304567e-11,"
+        "1/34359738368,1,1,0.999984651236",
+    )
+)
+
+SWEEP_JSON_FROZEN = {
+    "meta": {"version": "0.1.0", "command": "sweep", "cap": 66, "seed": 1, "r": 0.2, "samples": 200},
+    "rows": [
+        {
+            "n": 10, "d": 2, "r": "0.2", "method": "exact-enumeration",
+            "p_quantum": "0.000279431216931", "p_quantum_exact": "169/604800", "stderr": "",
+            "p_classical": "6.94444444444e-05", "p_classical_exact": "1/14400",
+            "info_bound": "0.000282186948854", "info_bound_exact": "4/14175",
+            "ratio_to_bound": "0.990234375",
+        },
+        {
+            "n": 70, "d": 14, "r": "0.2", "method": "schur-weyl-mc",
+            "p_quantum": "1.41435184654e-20", "p_quantum_exact": "", "stderr": "2.10272243893e-22",
+            "p_classical": "7.78865658226e-30", "p_classical_exact": "1/128391846454886400000000000000",
+            "info_bound": "1.41435184654e-20",
+            "info_bound_exact": "580596412273855274653929368745390287739925171241144/"
+            "41050352053065672562043322738282433776620375867720479437459869384765625",
+            "ratio_to_bound": "1",
+        },
+    ],
+}
+
+PMAX_PLANCHEREL_JSON_FROZEN = {
+    "meta": {"version": "0.1.0", "command": "pmax", "cap": 66, "seed": 0, "method": "plancherel-mc"},
+    "rows": [
+        {
+            "n": 70, "d": 35, "method": "plancherel-mc",
+            "p_quantum": "0.999560078636", "p_quantum_exact": "", "stderr": "0.0150172113447",
+            "p_classical": "2.91038304567e-11", "p_classical_exact": "1/34359738368",
+            "info_bound": "1", "info_bound_exact": "1", "dim_w": "", "informative_draws": 0,
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("sweep --r 0.5 --n-list 4,6,8,70 --samples 200 --seed 1 --format csv", SWEEP_CSV_FROZEN),
+        (
+            "sweep --r 0.2 --n-list 10,70 --samples 200 --seed 1 --format json",
+            json.dumps(SWEEP_JSON_FROZEN, indent=2) + "\n",
+        ),
+        (
+            "pmax --n 70 --d 35 --method plancherel --samples 200 --format json",
+            json.dumps(PMAX_PLANCHEREL_JSON_FROZEN, indent=2) + "\n",
+        ),
+    ],
+    ids=["sweep-csv", "sweep-json", "pmax-plancherel-json"],
+)
+def test_mixed_reports_frozen(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert out == expected
+
+
+def test_sweep_and_pmax_choose_the_same_method(capsys):
+    # (100, 36) has d/N = 0.36 below 1/e, though the requested ratio 0.3679 is above it
+    _, out, _ = run_cli(capsys, ["sweep", "--r", "0.3679", "--n-list", "100", "--samples", "200", "--format", "json"])
+    sweep_method = json.loads(out)["rows"][0]["method"]
+    _, out, _ = run_cli(capsys, ["pmax", "--n", "100", "--d", "36", "--samples", "200", "--format", "json"])
+    assert sweep_method == json.loads(out)["rows"][0]["method"] == "schur-weyl-mc"
 
 
 def test_pmax_json_round_trip(capsys):
@@ -232,3 +316,40 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["rows"][0]["p_quantum_exact"] == "5/6"
+
+
+def _options(**strategies) -> st.SearchStrategy[list[str]]:
+    """``--name=value`` for each keyword, with underscores spelt as dashes."""
+    return st.tuples(*(s.map(lambda v, k=k: f"--{k.replace('_', '-')}={v}") for k, s in strategies.items())).map(list)
+
+
+_N = st.integers(-1, 3000)
+_D = st.one_of(st.integers(-1, 100), st.integers(-1, 10**400))
+_CAP = st.integers(-1, 30)
+_SEED = st.integers(-3, 2**40)
+_COMMANDS = st.one_of(
+    _options(
+        n=_N, d=_D, method=st.sampled_from(["auto", "exact", "plancherel", "schur-weyl"]),
+        samples=st.integers(-1, 20), seed=_SEED, cap=_CAP,
+    ).map(lambda opts: ["pmax", *opts]),
+    _options(n=_N, d=_D).map(lambda opts: ["classical", *opts]),
+    _options(
+        r=st.floats(), n_list=st.lists(_N, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+        samples=st.integers(-1, 20), seed=_SEED, cap=_CAP,
+    ).map(lambda opts: ["sweep", *opts]),
+    _options(
+        measure=st.sampled_from(["plancherel", "schur-weyl"]), n=_N, d=_D,
+        count=st.integers(-1, 20), seed=_SEED,
+    ).map(lambda opts: ["sample", *opts]),
+    _options(
+        kerov_n=st.integers(-1, 40), kerov_row_n=_N, kerov_row_d=_D, erdos_n=_N, c=st.floats(), cap=_CAP,
+    ).map(lambda opts: ["bounds", *opts]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_COMMANDS)
+def test_outside_input_ends_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

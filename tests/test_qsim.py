@@ -454,7 +454,6 @@ def test_orbit_rank_rejects_bad_sector():
 
 def test_orthogonality_check_n3():
     rep = orthogonality_check_n3()
-    assert rep["pass"]
     assert rep["cross_irrep_residual"] < 1e-12
     assert rep["same_irrep_residual"] < 1e-12
     assert rep["alignment_residual"] < 1e-12
