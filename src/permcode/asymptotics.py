@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -276,7 +277,9 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     f/q = 1 / (alpha/min(1, m/D) + (1-alpha)/(B*min(1, D/m))), B = d^n/n!,
     or 0 when the diagram has more than d rows.  The weight is bounded by
     min(1/alpha, B/(1-alpha)), and it is evaluated in log space because B
-    over- or underflows a float at large n.
+    over- or underflows a float at large n.  Where every weight would underflow
+    a normal float, the weights are kept relative to the largest one, which
+    moves into the scale.
 
     The sampled mean is kept relative to the trivial bound that P_max falls
     short of: B for pure Schur-Weyl draws (alpha = 0), 1 otherwise.  A draw is
@@ -299,6 +302,7 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     perm = list(range(1, n + 1))
     total = 0.0
     total_sq = 0.0
+    top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
     for _ in range(sample_count):
         if alpha > 0.0 and rng.random() < alpha:
@@ -309,14 +313,24 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
         log_dim, log_mult = _log_dim_mult(rows, d)
         informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
         if log_mult == neg_inf:
-            v = 0.0
-        else:
-            # ln(f/p) - ln(scale) for the Plancherel and the Schur-Weyl component
-            g_plancherel = min(0.0, log_mult - log_dim) - log_scale
-            g_schur_weyl = min(0.0, log_dim - log_mult) + (log_bound - log_scale)
-            v = math.exp(-_log_add(log_alpha - g_plancherel, log_beta - g_schur_weyl))
+            continue  # weight 0
+        # ln(f/p) - ln(scale) for the Plancherel and the Schur-Weyl component
+        g_plancherel = min(0.0, log_mult - log_dim) - log_scale
+        g_schur_weyl = min(0.0, log_dim - log_mult) + (log_bound - log_scale)
+        log_v = -_log_add(log_alpha - g_plancherel, log_beta - g_schur_weyl)
+        v = math.exp(log_v)
         total += v
         total_sq += v * v
+        if log_v > top:  # a new largest weight: the relative sums move to it
+            rel *= math.exp(top - log_v)
+            rel_sq *= math.exp(2 * (top - log_v))
+            top = log_v
+        v = math.exp(log_v - top)
+        rel += v
+        rel_sq += v * v
+    if neg_inf < top < math.log(sys.float_info.min):
+        log_scale += top
+        total, total_sq = rel, rel_sq
     ratio, ratio_stderr = _mean_stderr(total, total_sq, sample_count)
     if informative == 0 and not (n == 1 or (relative_to_bound and d == 1)):
         log_weight_cap = min(-log_alpha, log_bound - log_beta) - log_scale

@@ -223,9 +223,12 @@ def info_bound(instance: CodingInstance) -> Fraction:
     """Counting bound min(1, d^N / N!): channel states over message states.
 
     Always dominates the quantum optimum, since min(m, D) * D <= m * D
-    summed over diagrams gives d^N.
+    summed over diagrams gives d^N.  For d >= N it is 1 without forming d^N,
+    since then d^N >= N!.
     """
     n, d = instance.n_boxes, instance.n_colors
+    if d >= n:
+        return Fraction(1)
     return min(Fraction(1), Fraction(d**n, math.factorial(n)))
 
 

@@ -6,10 +6,10 @@ classical-channel Monte Carlo.
 
 A permutation operator Gamma(sigma) is held as an index permutation of the
 d^N basis states, never as a dense matrix: Gamma x = x[idx] and
-Gamma M Gamma^dagger = M[idx, idx].  Every Gamma(sigma) keeps the color
-counts (weight) of each basis state, so group-algebra elements and isotypic
-projectors are block-diagonal over the weight sectors and are diagonalized
-one block at a time.
+Gamma M Gamma^dagger = M[idx, idx].  One orbit core, ``_orbit``, gives both
+sides of the optimum from a generic state psi: the rank of its orbit bounds
+every signal (``orbit_rank``), and the tight frame S^(-1/2) psi reaches that
+bound (``build_optimal_signal``).  It reads no character, hook or content.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import balanced_color_classes
-from .young import CapacityError, YoungDiagram, character, dim_irrep, enumerate_partitions, multiplicity
+from .young import CapacityError, YoungDiagram
 
 DIMENSION_CAP = 4096  # largest d**n for dense operators
 ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbit
 
 PSD_CLIP = 1e-12
 COMPLETENESS_TOL = 1e-10
-SECTOR_TOL = 1e-10  # largest relative off-sector part of S v for a sector-blocked frame operator
 RANK_RTOL = 1e-9  # eigenvalues of S above this share of the largest count towards the orbit rank
 
 Perm = tuple[int, ...]
@@ -127,6 +126,14 @@ class CovariantPovm:
         return {p: self.element(p) for p in all_perms(self.n)}
 
 
+def _dense_dim(n: int, d: int) -> int:
+    """d^n, refused above ``DIMENSION_CAP``."""
+    dim = d**n
+    if dim > DIMENSION_CAP:
+        raise CapacityError(f"d^n = {dim} exceeds the dense-operator cap {DIMENSION_CAP}")
+    return dim
+
+
 def _gamma_index(perm: Perm, n: int, d: int) -> np.ndarray:
     """Index array of Gamma(perm): (Gamma x)[k] = x[idx[k]].  Output box perm(i)
     reads input box i, so the (d,)*n tensor of indices is transposed by the
@@ -143,9 +150,7 @@ def build_gamma(perm: Perm, n: int, d: int) -> PermutationOperator:
     builds the dense matrix only when asked.  ``d^n`` is capped at
     ``DIMENSION_CAP``.
     """
-    dim = d**n
-    if dim > DIMENSION_CAP:
-        raise CapacityError(f"d^n = {dim} exceeds the dense-operator cap {DIMENSION_CAP}")
+    _dense_dim(n, d)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
     idx = _gamma_index(perm, n, d)
@@ -153,46 +158,20 @@ def build_gamma(perm: Perm, n: int, d: int) -> PermutationOperator:
     return PermutationOperator(perm=perm, n=n, d=d, index=idx)
 
 
-def _gamma_indices(n: int, d: int) -> tuple[list[Perm], np.ndarray]:
-    """All permutations in ``all_perms`` order and their stacked Gamma indices,
+def _gamma_indices(n: int, d: int) -> np.ndarray:
+    """The Gamma indices of all permutations in ``all_perms`` order, stacked,
     shape (n!, d^n); d^n is capped at ``DIMENSION_CAP`` and n! * d^n at
     ``ORBIT_CAP``.  The indices are built here, not through the cache of
     ``build_gamma``, which holds fewer than the 5040 permutations of n = 7."""
-    if d**n > DIMENSION_CAP:
-        raise CapacityError(f"d^n = {d**n} exceeds the dense-operator cap {DIMENSION_CAP}")
-    size = math.factorial(n) * d**n
+    size = math.factorial(n) * _dense_dim(n, d)
     if size > ORBIT_CAP:
         raise CapacityError(f"n! * d^n = {size} exceeds the orbit cap {ORBIT_CAP}")
-    perms = all_perms(n)
-    return perms, np.stack([_gamma_index(p, n, d) for p in perms])
-
-
-def _group_algebra_element(coeffs: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """sum_p coeffs[p] Gamma(p) as a dense matrix, from one scatter of the
-    stacked Gamma indices: Gamma(p) has a 1 at (k, idx_p[k])."""
-    dim = indices.shape[1]
-    flat = (np.arange(dim) * dim + indices).ravel()
-
-    def scatter(weights: np.ndarray) -> np.ndarray:
-        summed = np.bincount(flat, weights=np.repeat(weights, dim), minlength=dim * dim)
-        return summed.reshape(dim, dim)
-
-    if np.iscomplexobj(coeffs):
-        return scatter(coeffs.real) + 1j * scatter(coeffs.imag)
-    return scatter(coeffs)
+    return np.stack([_gamma_index(p, n, d) for p in all_perms(n)])
 
 
 def _color_counts(n: int, d: int) -> np.ndarray:
     """How often each color occurs in every basis state (its weight), shape (d^n, d)."""
     return (_basis_digits(n, d)[:, :, None] == np.arange(d)).sum(axis=1)
-
-
-def _weight_sectors(n: int, d: int) -> list[np.ndarray]:
-    """Basis indices grouped by color counts, each group ascending.  Every
-    Gamma(sigma) maps each group onto itself."""
-    key = _color_counts(n, d) @ (n + 1) ** np.arange(d)
-    order = np.argsort(key, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 def _ket(bits: str) -> np.ndarray:
@@ -240,7 +219,7 @@ def build_n3_example() -> tuple[SignalState, CovariantPovm]:
 
 
 def _complete_covariant(seed: np.ndarray, n: int, d: int) -> CovariantPovm:
-    total = sum(seed[np.ix_(idx, idx)] for idx in _gamma_indices(n, d)[1])
+    total = sum(seed[np.ix_(idx, idx)] for idx in _gamma_indices(n, d))
     completion = np.eye(d**n) - total
     # completion must be a PSD projector-like remainder; validate completeness
     evals = np.linalg.eigvalsh((completion + completion.conj().T) / 2)
@@ -317,62 +296,69 @@ def success_probability(signal: SignalState, povm: CovariantPovm) -> float:
     return float(total.real)
 
 
-_Spectrum = list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (basis indices, eigenvalues, eigenvectors)
+def _orbit(
+    psi: np.ndarray, n: int, d: int, root: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The eigenvalues of the frame operator
+    S = sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger, or of the orbit's
+    Gram matrix; with ``root``, also S^(-1/2) psi on the support of S (the
+    eigenvalues at least ``PSD_CLIP``).
 
-
-def _frame_blocks(amplitudes: np.ndarray, n: int, d: int) -> _Spectrum:
-    """Eigendecomposition of the frame operator
-    S = sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger, one diagonal block at a time.
-
-    With A = psi[indices], whose row sigma is Gamma(sigma)psi, S = A^T conj(A).
-    S keeps the weight sectors for some states (the optimal signal) but not for
-    a general psi, so the sector blocks S_mu = A[:, mu]^T conj(A[:, mu]) are used
-    only when they hold all of S: for one fixed random v, S v and the blocked
-    S v differ by at most ``SECTOR_TOL`` relative to |S v|.  Otherwise the whole
-    space is one block.  Each block must be Hermitian and PSD.
+    With A = psi[indices], whose row sigma is Gamma(sigma) psi, S = A^T conj(A)
+    (d^n x d^n) has the nonzero spectrum of the Gram matrix G = conj(A) A^T
+    (n! x n!), and the smaller of the two is diagonalised.  On the Gram side
+    S^(-1/2) psi = A^T G^(-1/2) e_0, because row 0 of ``all_perms`` is the
+    identity.  The diagonalised matrix must be Hermitian and PSD.  Without
+    ``root`` no eigenvectors are computed: LAPACK's divide-and-conquer
+    eigenvector solver can fail to converge on the two-valued spectrum of a
+    tight frame.
     """
-    frame = amplitudes[_gamma_indices(n, d)[1]]
-    v = np.random.default_rng(0).normal(size=d**n)
-    full_sv = frame.T @ np.conj(frame @ v)  # v is real, so conj(A) v = conj(A v)
-    blocked_sv = np.zeros_like(full_sv)
-    blocks = []
-    for sector in _weight_sectors(n, d):
-        part = frame[:, sector]
-        block = part.T @ part.conj()
-        blocked_sv[sector] = block @ v[sector]
-        blocks.append((sector, block))
-    if np.linalg.norm(full_sv - blocked_sv) > SECTOR_TOL * np.linalg.norm(full_sv):
-        blocks = [(np.arange(d**n), frame.T @ frame.conj())]
-    spectrum = []
-    for index, block in blocks:
-        herm_resid = np.abs(block - block.conj().T).max()
-        if herm_resid > 1e-10:
-            raise InternalQsimError(f"frame operator not Hermitian: residual {herm_resid:.3e}")
-        evals, evecs = np.linalg.eigh((block + block.conj().T) / 2)
-        if evals.min() < -1e-10:
-            raise InternalQsimError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
-        spectrum.append((index, evals, evecs))
-    return spectrum
+    frame = psi[_gamma_indices(n, d)]
+    conj = np.conj(frame) if np.iscomplexobj(frame) else frame  # a real A^T A is one BLAS syrk
+    gram_side = frame.shape[0] <= frame.shape[1]
+    mat = conj @ frame.T if gram_side else frame.T @ conj
+    herm_resid = np.abs(mat - mat.conj().T).max()
+    if herm_resid > 1e-10:
+        raise InternalQsimError(f"frame operator not Hermitian: residual {herm_resid:.3e}")
+    mat = (mat + mat.conj().T) / 2
+    evals, evecs = np.linalg.eigh(mat) if root else (np.linalg.eigvalsh(mat), None)
+    if evals.min() < -1e-10:
+        raise InternalQsimError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
+    if not root:
+        return evals, None
+    kept = evals >= PSD_CLIP
+    inv_root = evecs[:, kept] / np.sqrt(evals[kept])
+    if gram_side:
+        return evals, frame.T @ (inv_root @ np.conj(evecs[0, kept]))
+    return evals, inv_root @ (np.conj(evecs[:, kept]).T @ psi)
+
+
+def _generic_state(n: int, d: int, seed: int, sector: tuple[int, ...] | None = None) -> np.ndarray:
+    """A unit real Gaussian vector on the d^n-dimensional tensor space; with
+    ``sector`` (the count of each of the d colors) it is zero outside that
+    weight sector."""
+    psi = np.random.default_rng(seed).normal(size=_dense_dim(n, d))
+    if sector is not None:
+        if len(sector) != d or sum(sector) != n or min(sector) < 0:
+            raise ValueError(f"sector must give a count >= 0 for each of {d} colors, summing to {n}")
+        psi[(_color_counts(n, d) != np.asarray(sector)).any(axis=1)] = 0.0
+    return psi / np.linalg.norm(psi)  # a unit psi keeps tr S = n!
 
 
 def pgm_success(signal: SignalState, n: int, d: int) -> float:
     """Pretty-good-measurement success probability on the equal-prior ensemble
-    {Gamma(sigma)|psi>}: <psi|S^(-1/2)|psi>^2, with S the frame operator
+    {Gamma(sigma)|psi>}: |<psi|S^(-1/2)|psi>|^2, with S the frame operator
     sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger taken on its support
-    (eigenvalues below ``PSD_CLIP`` dropped).
+    (eigenvalues below ``PSD_CLIP`` dropped), see ``_orbit``.
 
     Every Gamma(sigma) commutes with S, so each state of the ensemble is
-    identified with this same probability.  S is diagonalised in blocks, see
-    ``_frame_blocks``: for the optimal signal one block per weight sector, of
-    at most 210 at (7,3), where the Gram matrix of the orbit is 5040 x 5040.
+    identified with this same probability.  The eigenvalues suffice: with G
+    the orbit's Gram matrix, <psi|S^(-1/2)|psi> = (G^(1/2))_00, and
+    G_(sigma,tau) = <psi|Gamma(sigma^-1 tau)|psi> commutes with the regular
+    representation, so every diagonal entry of G^(1/2) is tr G^(1/2) / n!.
     """
-    psi = signal.amplitudes
-    root = 0.0
-    for index, evals, evecs in _frame_blocks(psi, n, d):
-        kept = evals >= PSD_CLIP
-        overlaps = evecs[:, kept].conj().T @ psi[index]
-        root += float(np.sum(np.abs(overlaps) ** 2 / np.sqrt(evals[kept])))
-    return root**2
+    evals, _ = _orbit(signal.amplitudes, n, d)
+    return float((np.sqrt(evals[evals >= PSD_CLIP]).sum() / math.factorial(n)) ** 2)
 
 
 def orbit_rank(
@@ -382,129 +368,30 @@ def orbit_rank(
     psi, and the spectral gap that separates it from zero.
 
     The rank is the number of eigenvalues of the frame operator S (see
-    ``_frame_blocks``) above ``RANK_RTOL`` times the largest; the gap ratio is
-    the smallest of them over the largest magnitude below (infinite when that
-    is exactly zero).  Any pure signal identifies the permutation with
+    ``_orbit``) above ``RANK_RTOL`` times the largest; the gap ratio is the
+    smallest of them over the largest magnitude below (infinite when that is
+    exactly zero).  Any pure signal identifies the permutation with
     probability at most rank / n!, and a generic psi spans sum over diagrams of
     D * min(m, D) dimensions.  With ``sector`` (the count of each of the d
     colors) psi is restricted to that weight sector, which a generic psi spans
     whole: n! / prod(counts!) dimensions.
     """
-    psi = np.random.default_rng(seed).normal(size=d**n)
-    if sector is not None:
-        if len(sector) != d or sum(sector) != n or min(sector) < 0:
-            raise ValueError(f"sector must give a count >= 0 for each of {d} colors, summing to {n}")
-        psi[(_color_counts(n, d) != np.asarray(sector)).any(axis=1)] = 0.0
-    psi /= np.linalg.norm(psi)  # a unit psi keeps tr S = n!
-    evals = np.concatenate([e for _, e, _ in _frame_blocks(psi, n, d)])
+    evals, _ = _orbit(_generic_state(n, d, seed, sector), n, d)
     kept = evals > RANK_RTOL * evals.max()
     below = np.abs(evals[~kept]).max(initial=0.0)
     gap = evals[kept].min() / below if below > 0 else math.inf
     return int(kept.sum()), float(gap)
 
 
-_Blocks = list[tuple[np.ndarray, np.ndarray]]  # (sector indices, real orthonormal columns on it)
-
-
-def _isotypic_blocks(
-    diagram: YoungDiagram,
-    types: list[YoungDiagram],
-    indices: np.ndarray,
-    sectors: list[np.ndarray],
-) -> _Blocks:
-    """Orthonormal basis of the isotypic component of ``diagram``, one weight
-    sector at a time: the eigenvectors of eigenvalue 1 of each diagonal block
-    of the projector (D/n!) sum_p chi(p) Gamma(p).  The projector is built in
-    one scatter; ``types`` holds the cycle type of each stacked permutation."""
-    chars = {t: character(diagram, t) for t in set(types)}
-    coeffs = np.array([chars[t] for t in types], dtype=float)
-    proj = _group_algebra_element(coeffs * (dim_irrep(diagram) / len(types)), indices)
-    blocks = []
-    for sector in sectors:
-        evals, evecs = np.linalg.eigh(proj[np.ix_(sector, sector)])
-        if evals[-1] > 0.5:
-            blocks.append((sector, evecs[:, evals > 0.5]))
-    return blocks
-
-
-def _embed(blocks: _Blocks, dim: int) -> np.ndarray:
-    """The basis in ``blocks`` as the columns of one d^n-row matrix."""
-    out = np.zeros((dim, sum(cols.shape[1] for _, cols in blocks)))
-    at = 0
-    for sector, cols in blocks:
-        out[sector, at : at + cols.shape[1]] = cols
-        at += cols.shape[1]
-    return out
-
-
-def _restrict(op: np.ndarray, blocks: _Blocks) -> np.ndarray:
-    """iso^dagger op iso, iso the basis in ``blocks``, for an operator that maps
-    every weight sector into itself: one small product per sector."""
-    size = sum(cols.shape[1] for _, cols in blocks)
-    out = np.zeros((size, size), dtype=op.dtype)
-    at = 0
-    for sector, cols in blocks:
-        k = cols.shape[1]
-        out[at : at + k, at : at + k] = cols.T @ op[np.ix_(sector, sector)] @ cols
-        at += k
-    return out
-
-
 def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
-    """Numerically construct a signal state achieving the optimal covariant-POVM
-    success probability (sum of min(m, D) * D over N!).
-
-    Within each isotypic component, aligned copies are extracted from the
-    eigenspaces of a generic Hermitian element of the group algebra; the state
-    puts weight sqrt(D/n!) on basis vectors with pairwise distinct internal
-    indices across copies, as the completeness constraint requires.
+    """A signal state whose pretty-good measurement succeeds with probability
+    rank / n!, the optimum: the canonical tight frame S^(-1/2) psi, normalised,
+    of the same generic psi whose rank ``orbit_rank`` counts.  Its orbit spans
+    the same subspace, and its own frame operator is n!/rank times the
+    projector onto it (Eldar & Forney 2001).
     """
-    dim_v = d**n
-    if dim_v > DIMENSION_CAP:
-        raise CapacityError(f"d^n = {dim_v} exceeds the dense-operator cap {DIMENSION_CAP}")
-    rng = np.random.default_rng(rng_seed)
-    perms, indices = _gamma_indices(n, d)
-    # generic Hermitian elements of the group algebra (act as M_D x Id_m)
-    coeffs_a = rng.normal(size=len(perms))
-    coeffs_b = rng.normal(size=len(perms)) + 1j * rng.normal(size=len(perms))
-    alg_a = _group_algebra_element(coeffs_a, indices)
-    alg_a = alg_a + alg_a.conj().T
-    alg_b = _group_algebra_element(coeffs_b, indices)
-    types = [cycle_type(p) for p in perms]
-    sectors = _weight_sectors(n, d)
-    nfact = math.factorial(n)
-    phi = np.zeros(dim_v, dtype=complex)
-    for diagram in enumerate_partitions(n):
-        dim_rho = dim_irrep(diagram)
-        mult_rho = multiplicity(diagram, d)
-        if mult_rho == 0:
-            continue
-        blocks = _isotypic_blocks(diagram, types, indices, sectors)
-        iso = _embed(blocks, dim_v)  # columns: orthonormal basis of the component
-        assert iso.shape[1] == dim_rho * mult_rho
-        a_block = _restrict(alg_a, blocks)
-        a_evals, a_evecs = np.linalg.eigh(a_block)
-        # eigenvalues come in dim_rho clusters of size mult_rho each
-        clusters = [a_evecs[:, i * mult_rho : (i + 1) * mult_rho] for i in range(dim_rho)]
-        spread = max(
-            a_evals[i * mult_rho + mult_rho - 1] - a_evals[i * mult_rho]
-            for i in range(dim_rho)
-        )
-        if spread > 1e-8:
-            raise InternalQsimError(f"eigenvalue clusters not degenerate: spread {spread:.3e}")
-        b_block = _restrict(alg_b, blocks)
-        k = min(mult_rho, dim_rho)
-        # copy b occupies internal index a = b; map cluster 0 into cluster a
-        for b_idx in range(k):
-            src = clusters[0][:, b_idx]
-            if b_idx == 0:
-                vec = src
-            else:
-                vec = clusters[b_idx].conj().T @ b_block @ src
-                vec = clusters[b_idx] @ vec
-                vec = vec / np.linalg.norm(vec)
-            phi += math.sqrt(dim_rho / nfact) * (iso @ vec)
-    return SignalState(amplitudes=phi / np.linalg.norm(phi), n=n, d=d)
+    _, root_psi = _orbit(_generic_state(n, d, rng_seed), n, d, root=True)
+    return SignalState(amplitudes=root_psi / np.linalg.norm(root_psi), n=n, d=d)
 
 
 def orthogonality_check_n3() -> dict:

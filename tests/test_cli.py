@@ -24,6 +24,15 @@ def test_pmax_table_n3(capsys):
     assert "dim_w = 5" in out
 
 
+def test_schur_weyl_weights_below_float_range(capsys):
+    # every draw weights min(1, D/m) ~ e^-7880, far below the smallest float; P_max = 1 since d >= N
+    argv = ["pmax", "--n", "200", "--d", str(10**19), "--method", "schur-weyl", "--samples", "20"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("p_quantum = "))
+    assert float(line.split()[2]) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_pmax_table_n4_d2(capsys):
     code, out, _ = run_cli(capsys, ["pmax", "--n", "4", "--d", "2"])
     assert code == 0

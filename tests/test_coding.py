@@ -108,6 +108,13 @@ def test_info_bound_examples():
     assert info_bound(CodingInstance(10, 3)) == Fraction(59049, 3628800)
 
 
+def test_info_bound_near_d_equals_n():
+    # d >= N returns 1 without forming d^N; the value is the plain formula's
+    for n in range(1, 31):
+        for d in range(max(1, n - 1), n + 2):
+            assert info_bound(CodingInstance(n, d)) == min(1, Fraction(d**n, math.factorial(n)))
+
+
 def test_probability_ordering_grid():
     for n in range(1, 9):
         for d in range(1, 9):
