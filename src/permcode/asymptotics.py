@@ -1,7 +1,7 @@
 """Empirical checks of the asymptotic machinery: short-column/short-row scans,
 Plancherel and Schur-Weyl tail bounds, the partition-count growth bound, and
 Monte Carlo estimation of the optimal success probability beyond the exact
-enumeration cap.
+enumeration cap, from the one stream of random diagrams in ``draw_shapes``.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .coding import CRITICAL_RATIO, CodingInstance, classical_success, info_bound, quantum_pmax_exact
 from .young import (
     DEFAULT_ENUMERATION_CAP,
+    YoungDiagram,
     _content_product,
     enumerate_partitions,
     log_dim_irrep,
@@ -60,10 +62,6 @@ class BoundCheckReport:
     vacuous: int
     max_slack: float  # max over non-vacuous cases of lhs - rhs in log domain
     params: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
 
 
 @dataclass
@@ -238,6 +236,8 @@ def erdos_bound_check(n_max: int, erdos_c: float = HARDY_RAMANUJAN_C) -> BoundCh
     """Check p(n) < exp(C * sqrt(n)) for every n up to n_max, with exact p(n)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if math.isnan(erdos_c):
+        raise ValueError("the growth constant must be a number, got nan")
     report = BoundCheckReport(
         name="partition-count-growth", checked=0, violations=0, vacuous=0,
         max_slack=float("-inf"), params={"n_max": n_max, "c": erdos_c},
@@ -266,15 +266,32 @@ def _log_add(x: float, y: float) -> float:
     return x + math.log1p(math.exp(y - x))
 
 
+def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[YoungDiagram]:
+    """``count`` random diagrams of n boxes from one ``random.Random(seed)``
+    stream: with probability ``plancherel_share`` the RSK shape of a uniform
+    permutation (Plancherel measure D^2/n!), else of a uniform word over d
+    letters (Schur-Weyl measure m*D/d^n).  A share of 1 draws Plancherel
+    shapes only, and d is then not read; a share of 0 draws Schur-Weyl shapes
+    only and spends no random number on the choice."""
+    if n < 1 or count < 1 or (plancherel_share < 1.0 and d < 1):
+        raise ValueError(f"need n, count >= 1 and, for Schur-Weyl draws, d >= 1, got ({n}, {count}, {d})")
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))  # shuffled in place, draw after draw
+    for _ in range(count):
+        if plancherel_share > 0.0 and rng.random() < plancherel_share:
+            rng.shuffle(perm)
+            yield rsk_shape(perm)
+        else:
+            yield rsk_shape([rng.randint(1, d) for _ in range(n)])
+
+
 def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float, method: str) -> McEstimate:
     """Importance-sampling core shared by both estimators.
 
-    P_max is the sum over diagrams of f = min(m, D) * D / n!.  Each draw comes
-    from q = alpha * Plancherel + (1 - alpha) * Schur-Weyl with 0 <= alpha < 1,
-    where the Plancherel measure is D^2/n! (RSK shape of a uniform
-    permutation) and the Schur-Weyl measure is m*D/d^n (RSK shape of a
-    uniform word over d letters), and contributes the weight
-    f/q = 1 / (alpha/min(1, m/D) + (1-alpha)/(B*min(1, D/m))), B = d^n/n!,
+    P_max is the sum over diagrams of f = min(m, D) * D / n!.  The draws come
+    from ``draw_shapes`` with Plancherel share alpha, 0 <= alpha < 1, so from
+    q = alpha * Plancherel + (1 - alpha) * Schur-Weyl, and each contributes the
+    weight f/q = 1 / (alpha/min(1, m/D) + (1-alpha)/(B*min(1, D/m))), B = d^n/n!,
     or 0 when the diagram has more than d rows.  The weight is bounded by
     min(1/alpha, B/(1-alpha)), and it is evaluated in log space because B
     over- or underflows a float at large n.  Where every weight would underflow
@@ -298,19 +315,12 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     log_scale = log_bound if relative_to_bound else 0.0
     log_alpha = math.log(alpha) if alpha > 0.0 else neg_inf
     log_beta = math.log1p(-alpha)
-    rng = random.Random(seed)
-    perm = list(range(1, n + 1))
     total = 0.0
     total_sq = 0.0
     top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
-    for _ in range(sample_count):
-        if alpha > 0.0 and rng.random() < alpha:
-            rng.shuffle(perm)
-            rows = rsk_shape(perm).rows
-        else:
-            rows = rsk_shape([rng.randint(1, d) for _ in range(n)]).rows
-        log_dim, log_mult = _log_dim_mult(rows, d)
+    for shape in draw_shapes(n, d, sample_count, seed, alpha):
+        log_dim, log_mult = _log_dim_mult(shape.rows, d)
         informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
         if log_mult == neg_inf:
             continue  # weight 0

@@ -25,6 +25,7 @@ from .asymptotics import (
     HARDY_RAMANUJAN_C,
     McEstimate,
     choose_method,
+    draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
     kerov_row_bound_check,
@@ -46,13 +47,7 @@ from .qsim import (
     symmetrize_elements,
     symmetrize_povm,
 )
-from .young import (
-    CapacityError,
-    DEFAULT_ENUMERATION_CAP,
-    InternalInvariantError,
-    sample_plancherel,
-    sample_schur_weyl,
-)
+from .young import CapacityError, DEFAULT_ENUMERATION_CAP, InternalInvariantError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -233,13 +228,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
-    shapes: Counter = Counter()
-    for i in range(args.count):
-        if args.measure == "plancherel":
-            diag = sample_plancherel(args.n, args.seed + i)
-        else:
-            diag = sample_schur_weyl(args.n, args.d, args.seed + i)
-        shapes[diag.rows] += 1
+    share = 1.0 if args.measure == "plancherel" else 0.0
+    shapes = Counter(diag.rows for diag in draw_shapes(args.n, args.d, args.count, args.seed, share))
     rows = [
         {"shape": " ".join(map(str, rows_)), "count": c, "frequency": dec_str(c / args.count)}
         for rows_, c in sorted(shapes.items(), reverse=True)

@@ -1,6 +1,5 @@
 """Exact success probabilities for color-coding N boxes with d colors:
-the quantum optimum, the classical optimum, the counting bound, and the
-per-diagram measure tables.
+the quantum optimum, the classical optimum, and the counting bound.
 """
 
 from __future__ import annotations
@@ -12,12 +11,9 @@ from fractions import Fraction
 from .young import (
     CapacityError,
     DEFAULT_ENUMERATION_CAP,
-    IrrepStats,
     _content_product,
     _hook_product,
     _partitions_revlex,
-    enumerate_partitions,
-    irrep_stats,
     partition_count,
     partition_count_at_most,
 )
@@ -230,12 +226,3 @@ def info_bound(instance: CodingInstance) -> Fraction:
     if d >= n:
         return Fraction(1)
     return min(Fraction(1), Fraction(d**n, math.factorial(n)))
-
-
-def measure_tables(instance: CodingInstance, cap: int | None = None) -> list[IrrepStats]:
-    """Per-diagram stats for all partitions of N, in enumeration order.
-
-    Plancherel weights sum to 1 exactly; Schur-Weyl weights sum to 1 exactly.
-    """
-    n, d = instance.n_boxes, instance.n_colors
-    return [irrep_stats(diag, d) for diag in enumerate_partitions(n, cap=cap)]

@@ -22,14 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import balanced_color_classes
-from .young import CapacityError, YoungDiagram
+from .young import CapacityError
 
 DIMENSION_CAP = 4096  # largest d**n for dense operators
 ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbit
 
-PSD_CLIP = 1e-12
 COMPLETENESS_TOL = 1e-10
-RANK_RTOL = 1e-9  # eigenvalues of S above this share of the largest count towards the orbit rank
 
 Perm = tuple[int, ...]
 
@@ -47,21 +45,6 @@ def invert(p: Perm) -> Perm:
     for i, pi in enumerate(p):
         inv[pi] = i
     return tuple(inv)
-
-def cycle_type(p: Perm) -> YoungDiagram:
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return YoungDiagram(tuple(sorted(lengths, reverse=True)))
 
 
 def _basis_digits(n: int, d: int) -> np.ndarray:
@@ -102,10 +85,6 @@ class SignalState:
     amplitudes: np.ndarray
     n: int
     d: int
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass
@@ -298,20 +277,23 @@ def success_probability(signal: SignalState, povm: CovariantPovm) -> float:
 
 def _orbit(
     psi: np.ndarray, n: int, d: int, root: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The eigenvalues of the frame operator
     S = sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger, or of the orbit's
-    Gram matrix; with ``root``, also S^(-1/2) psi on the support of S (the
-    eigenvalues at least ``PSD_CLIP``).
+    Gram matrix; the mask of those on the support of S; and with ``root``,
+    S^(-1/2) psi on that support.
 
     With A = psi[indices], whose row sigma is Gamma(sigma) psi, S = A^T conj(A)
     (d^n x d^n) has the nonzero spectrum of the Gram matrix G = conj(A) A^T
-    (n! x n!), and the smaller of the two is diagonalised.  On the Gram side
-    S^(-1/2) psi = A^T G^(-1/2) e_0, because row 0 of ``all_perms`` is the
-    identity.  The diagonalised matrix must be Hermitian and PSD.  Without
-    ``root`` no eigenvectors are computed: LAPACK's divide-and-conquer
-    eigenvector solver can fail to converge on the two-valued spectrum of a
-    tight frame.
+    (n! x n!), and the smaller of the two, k x k, is diagonalised.  The
+    support is the eigenvalues above max|lambda| * k * eps, numpy's
+    ``matrix_rank`` default: a fixed share of the largest drops true
+    eigenvalues at rare psi, and a fixed floor keeps roundoff at n = 8.  On
+    the Gram side S^(-1/2) psi = A^T G^(-1/2) e_0, because row 0 of
+    ``all_perms`` is the identity.  The diagonalised matrix must be Hermitian
+    and PSD.  Without ``root`` no eigenvectors are computed: LAPACK's
+    divide-and-conquer eigenvector solver can fail to converge on the
+    two-valued spectrum of a tight frame.
     """
     frame = psi[_gamma_indices(n, d)]
     conj = np.conj(frame) if np.iscomplexobj(frame) else frame  # a real A^T A is one BLAS syrk
@@ -324,13 +306,13 @@ def _orbit(
     evals, evecs = np.linalg.eigh(mat) if root else (np.linalg.eigvalsh(mat), None)
     if evals.min() < -1e-10:
         raise InternalQsimError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
+    kept = evals > np.abs(evals).max() * len(evals) * np.finfo(evals.dtype).eps
     if not root:
-        return evals, None
-    kept = evals >= PSD_CLIP
+        return evals, kept, None
     inv_root = evecs[:, kept] / np.sqrt(evals[kept])
     if gram_side:
-        return evals, frame.T @ (inv_root @ np.conj(evecs[0, kept]))
-    return evals, inv_root @ (np.conj(evecs[:, kept]).T @ psi)
+        return evals, kept, frame.T @ (inv_root @ np.conj(evecs[0, kept]))
+    return evals, kept, inv_root @ (np.conj(evecs[:, kept]).T @ psi)
 
 
 def _generic_state(n: int, d: int, seed: int, sector: tuple[int, ...] | None = None) -> np.ndarray:
@@ -348,8 +330,8 @@ def _generic_state(n: int, d: int, seed: int, sector: tuple[int, ...] | None = N
 def pgm_success(signal: SignalState, n: int, d: int) -> float:
     """Pretty-good-measurement success probability on the equal-prior ensemble
     {Gamma(sigma)|psi>}: |<psi|S^(-1/2)|psi>|^2, with S the frame operator
-    sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger taken on its support
-    (eigenvalues below ``PSD_CLIP`` dropped), see ``_orbit``.
+    sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger taken on its support,
+    see ``_orbit``.
 
     Every Gamma(sigma) commutes with S, so each state of the ensemble is
     identified with this same probability.  The eigenvalues suffice: with G
@@ -357,8 +339,8 @@ def pgm_success(signal: SignalState, n: int, d: int) -> float:
     G_(sigma,tau) = <psi|Gamma(sigma^-1 tau)|psi> commutes with the regular
     representation, so every diagonal entry of G^(1/2) is tr G^(1/2) / n!.
     """
-    evals, _ = _orbit(signal.amplitudes, n, d)
-    return float((np.sqrt(evals[evals >= PSD_CLIP]).sum() / math.factorial(n)) ** 2)
+    evals, kept, _ = _orbit(signal.amplitudes, n, d)
+    return float((np.sqrt(evals[kept]).sum() / math.factorial(n)) ** 2)
 
 
 def orbit_rank(
@@ -367,17 +349,16 @@ def orbit_rank(
     """Dimension of the span of the orbit {Gamma(sigma) psi} of a real Gaussian
     psi, and the spectral gap that separates it from zero.
 
-    The rank is the number of eigenvalues of the frame operator S (see
-    ``_orbit``) above ``RANK_RTOL`` times the largest; the gap ratio is the
-    smallest of them over the largest magnitude below (infinite when that is
-    exactly zero).  Any pure signal identifies the permutation with
-    probability at most rank / n!, and a generic psi spans sum over diagrams of
-    D * min(m, D) dimensions.  With ``sector`` (the count of each of the d
-    colors) psi is restricted to that weight sector, which a generic psi spans
-    whole: n! / prod(counts!) dimensions.
+    The rank is the number of eigenvalues of the frame operator S on its
+    support (see ``_orbit``); the gap ratio is the smallest of them over the
+    largest magnitude off it (infinite when that is exactly zero).  Any pure
+    signal identifies the permutation with probability at most rank / n!,
+    and a generic psi spans sum over diagrams of D * min(m, D) dimensions.
+    With ``sector`` (the count of each of the d colors) psi is restricted to
+    that weight sector, which a generic psi spans whole: n! / prod(counts!)
+    dimensions.
     """
-    evals, _ = _orbit(_generic_state(n, d, seed, sector), n, d)
-    kept = evals > RANK_RTOL * evals.max()
+    evals, kept, _ = _orbit(_generic_state(n, d, seed, sector), n, d)
     below = np.abs(evals[~kept]).max(initial=0.0)
     gap = evals[kept].min() / below if below > 0 else math.inf
     return int(kept.sum()), float(gap)
@@ -390,7 +371,7 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
     the same subspace, and its own frame operator is n!/rank times the
     projector onto it (Eldar & Forney 2001).
     """
-    _, root_psi = _orbit(_generic_state(n, d, rng_seed), n, d, root=True)
+    _, _, root_psi = _orbit(_generic_state(n, d, rng_seed), n, d, root=True)
     return SignalState(amplitudes=root_psi / np.linalg.norm(root_psi), n=n, d=d)
 
 

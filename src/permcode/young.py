@@ -1,5 +1,5 @@
 """Exact combinatorics of Young diagrams: enumeration, hook lengths, irrep
-dimensions and multiplicities, characters, and RSK-based random sampling.
+dimensions and multiplicities, and the RSK shape of a word.
 
 All counting is done with arbitrary-precision integers; probabilities are
 exact ``fractions.Fraction`` values.  Log-domain variants (``log_dim_irrep``,
@@ -10,15 +10,12 @@ too large to be useful as floats.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 66
-CHARACTER_SIZE_CAP = 12
 
 
 class CapacityError(ValueError):
@@ -66,19 +63,6 @@ class YoungDiagram:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class IrrepStats:
-    """Dimension, multiplicity and measure weights of one diagram at a given d."""
-
-    diagram: YoungDiagram
-    dim_irrep: int
-    multiplicity: int
-    log_dim: float
-    log_mult: float
-    plancherel: Fraction
-    schur_weyl: Fraction
 
 
 def _conjugate(rows: Sequence[int]) -> tuple[int, ...]:
@@ -249,79 +233,6 @@ def log_multiplicity(rows: Sequence[int], d: int) -> float:
     return s
 
 
-def irrep_stats(diagram: YoungDiagram, d: int) -> IrrepStats:
-    """Bundle of exact and log-domain statistics for one diagram at a given d."""
-    n = diagram.n
-    dim = dim_irrep(diagram)
-    mult = multiplicity(diagram, d)
-    return IrrepStats(
-        diagram=diagram,
-        dim_irrep=dim,
-        multiplicity=mult,
-        log_dim=log_dim_irrep(diagram.rows),
-        log_mult=log_multiplicity(diagram.rows, d),
-        plancherel=Fraction(dim * dim, math.factorial(n)),
-        schur_weyl=Fraction(mult * dim, d**n),
-    )
-
-
-@lru_cache(maxsize=None)
-def _character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion on row tuples."""
-    if not lam:
-        return 1
-    if not rho:
-        raise InternalInvariantError("cycle type exhausted before diagram")
-    size = rho[0]
-    rest = rho[1:]
-    total = 0
-    nrows = len(lam)
-    # border strips of length `size` are indexed by their last (deepest) row
-    for start in range(nrows):
-        # greedily peel a border strip beginning in row `start`
-        strip = [0] * nrows
-        remaining = size
-        row = start
-        while remaining > 0 and row < nrows:
-            if row + 1 < nrows:
-                avail = lam[row] - lam[row + 1] + 1
-            else:
-                avail = lam[row]
-            take = min(avail, remaining)
-            strip[row] = take
-            remaining -= take
-            row += 1
-        if remaining > 0:
-            continue
-        new_rows = [lam[i] - strip[i] for i in range(nrows)]
-        # the strip must leave a valid (weakly decreasing, nonnegative) shape
-        ok = all(
-            new_rows[i] >= (new_rows[i + 1] if i + 1 < nrows else 0)
-            for i in range(nrows)
-        ) and all(r >= 0 for r in new_rows)
-        if not ok:
-            continue
-        height = sum(1 for s in strip if s > 0) - 1
-        sign = -1 if height % 2 else 1
-        new_lam = tuple(r for r in new_rows if r > 0)
-        total += sign * _character(new_lam, rest)
-    return total
-
-
-def character(diagram: YoungDiagram, cycle_type: YoungDiagram) -> int:
-    """Irreducible character chi_diagram(cycle_type) via the Murnaghan-Nakayama rule."""
-    n = diagram.n
-    if cycle_type.n != n:
-        raise ValueError(
-            f"diagram of {n} boxes but cycle type of {cycle_type.n}; sizes must match"
-        )
-    if n > CHARACTER_SIZE_CAP:
-        raise CapacityError(
-            f"character computation capped at n <= {CHARACTER_SIZE_CAP}, got {n}"
-        )
-    return _character(diagram.rows, cycle_type.rows)
-
-
 def rsk_shape(word: Sequence[int]) -> YoungDiagram:
     """Shape of the insertion tableau of the word under RSK row insertion."""
     if len(word) == 0:
@@ -337,22 +248,3 @@ def rsk_shape(word: Sequence[int]) -> YoungDiagram:
         else:
             tableau_rows.append([x])
     return YoungDiagram(tuple(len(row) for row in tableau_rows))
-
-
-def sample_plancherel(n: int, rng_seed: int) -> YoungDiagram:
-    """One Plancherel-distributed diagram: RSK shape of a uniform permutation."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = random.Random(rng_seed)
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    return rsk_shape(perm)
-
-
-def sample_schur_weyl(n: int, d: int, rng_seed: int) -> YoungDiagram:
-    """One Schur-Weyl-distributed diagram: RSK shape of a uniform word in {1..d}^n."""
-    if n < 1 or d < 1:
-        raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
-    rng = random.Random(rng_seed)
-    word = [rng.randint(1, d) for _ in range(n)]
-    return rsk_shape(word)

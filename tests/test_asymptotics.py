@@ -6,6 +6,7 @@ import pytest
 from permcode.asymptotics import (
     CRITICAL_RATIO,
     HARDY_RAMANUJAN_C,
+    draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
     kerov_row_bound_check,
@@ -16,7 +17,7 @@ from permcode.asymptotics import (
     threshold_sweep,
 )
 from permcode.coding import CodingInstance, quantum_pmax_exact, info_bound
-from permcode.young import CapacityError, partition_count
+from permcode.young import CapacityError, log_dim_irrep, log_multiplicity, partition_count
 
 
 # ------------------------------------------------------- dominance scans
@@ -85,11 +86,13 @@ def test_kerov_bound_exhaustive_n25():
     assert rep.violations == 0
 
 
-@pytest.mark.parametrize("n,d", [(25, 5), (36, 7)])
+@pytest.mark.parametrize("n,d", [(25, 5), (36, 7), (30, 15)])
 def test_kerov_row_bound_exhaustive(n, d):
     rep = kerov_row_bound_check(n, d)
     assert rep.checked == partition_count(n)
     assert rep.violations == 0
+    if (n, d) == (30, 15):  # at (25, 5) and (36, 7) every diagram is vacuous
+        assert rep.vacuous < rep.checked
 
 
 def test_erdos_bound():
@@ -98,6 +101,8 @@ def test_erdos_bound():
     assert math.log(partition_count(100)) < HARDY_RAMANUJAN_C * 10
     assert erdos_bound_check(1).violations == 0
     assert erdos_bound_check(500).violations == 0
+    with pytest.raises(ValueError):
+        erdos_bound_check(10, float("nan"))  # every comparison with nan is false
 
 
 # ------------------------------------------------------- MC estimators
@@ -157,6 +162,15 @@ def test_estimators_deterministic():
     a = pmax_estimate_plancherel(12, 5, 500, seed=3)
     b = pmax_estimate_plancherel(12, 5, 500, seed=3)
     assert (a.estimate, a.stderr) == (b.estimate, b.stderr)
+
+
+def test_estimators_read_the_sample_stream():
+    # an informative draw has m > D under pure Schur-Weyl draws, m < D under the mixture
+    n, d, k, seed = 30, 12, 500, 3
+    for fn, share in ((pmax_estimate_schur_weyl, 0.0), (pmax_estimate_plancherel, 0.99)):
+        logs = [(log_dim_irrep(s.rows), log_multiplicity(s.rows, d)) for s in draw_shapes(n, d, k, seed, share)]
+        informative = sum((dim < mult) if share == 0.0 else (mult < dim) for dim, mult in logs)
+        assert fn(n, d, k, seed).informative == informative > 0
 
 
 def test_both_estimators_agree():

@@ -42,5 +42,7 @@ def test_wrapped_bindings_are_called(monkeypatch, capsys):
         tracer.restore()
     capsys.readouterr()
     spans_per_name = Counter(tracer.names[i] for i in tracer.name_id)
-    for name in ("coding.quantum_pmax_exact", "asymptotics.pmax_estimate_plancherel", "qsim.pgm_success"):
+    # young.rsk_shape wraps the binding in asymptotics, where the draws must stay
+    names = ("coding.quantum_pmax_exact", "asymptotics.pmax_estimate_plancherel", "young.rsk_shape", "qsim.pgm_success")
+    for name in names:
         assert spans_per_name[name] >= 1, name

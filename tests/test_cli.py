@@ -289,6 +289,13 @@ def test_sample_schur_weyl_d1(capsys):
     assert data_lines == ["4: 50 (1)"]
 
 
+def test_sample_rejects_empty_runs(capsys):
+    for extra in (["--count", "-3"], ["--count", "0"], ["--n", "0", "--count", "0"]):
+        argv = ["sample", "--measure", "plancherel", "--n", "5", *extra]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1 and out == "", argv
+
+
 def test_verify_all_json(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "all"])
     assert code == 0
@@ -315,6 +322,12 @@ def test_bounds_command(capsys):
     )
     assert code == 0
     assert "violations=0" in out
+
+
+def test_bounds_rejects_nan_constant(capsys):
+    # every comparison with nan is false, so it would report no violation
+    code, out, _ = run_cli(capsys, ["bounds", "--kerov-n", "5", "--kerov-row-n", "5", "--c", "nan"])
+    assert code == 1 and out == ""
 
 
 def test_output_file(tmp_path, capsys):

@@ -11,7 +11,6 @@ from permcode.coding import (
     balanced_color_classes,
     classical_success,
     info_bound,
-    measure_tables,
     quantum_pmax_exact,
 )
 from permcode.young import (
@@ -152,20 +151,6 @@ def test_pmax_three_way_identity():
                 Fraction(0),
             )
             assert p == plancherel_form == schur_weyl_form
-
-
-def test_measure_tables_normalization():
-    for n, d in ((1, 1), (3, 2), (8, 3)):
-        stats = measure_tables(CodingInstance(n, d))
-        assert sum(s.plancherel for s in stats) == 1
-        assert sum(s.schur_weyl for s in stats) == 1
-        assert len(stats) == sum(1 for _ in enumerate_partitions(n))
-
-
-def test_measure_tables_n3_values():
-    stats = measure_tables(CodingInstance(3, 2))
-    assert [s.plancherel for s in stats] == [Fraction(1, 6), Fraction(4, 6), Fraction(1, 6)]
-    assert [s.schur_weyl for s in stats] == [Fraction(4, 8), Fraction(4, 8), Fraction(0)]
 
 
 def test_min_side_counts():

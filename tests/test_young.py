@@ -8,22 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcode import young
+from permcode.asymptotics import draw_shapes
 from permcode.young import (
     CapacityError,
     YoungDiagram,
-    character,
     dim_irrep,
     dim_mult_ratio,
     enumerate_partitions,
-    irrep_stats,
     log_dim_irrep,
     log_multiplicity,
     multiplicity,
     partition_count,
     partition_count_at_most,
     rsk_shape,
-    sample_plancherel,
-    sample_schur_weyl,
 )
 
 
@@ -88,14 +85,6 @@ def longest_weakly_increasing(word) -> int:
             if word[j] <= word[i]:
                 lengths[i] = max(lengths[i], lengths[j] + 1)
     return max(lengths)
-
-
-def centralizer_order(cycle_type: tuple[int, ...]) -> int:
-    counts = Counter(cycle_type)
-    z = 1
-    for k, a in counts.items():
-        z *= k**a * math.factorial(a)
-    return z
 
 
 # ---------------------------------------------------------------- diagrams
@@ -241,66 +230,6 @@ def test_log_domain_matches_exact():
                     assert math.exp(lm) == pytest.approx(m, rel=1e-12)
 
 
-def test_irrep_stats_fields():
-    s = irrep_stats(YoungDiagram((2, 1)), 2)
-    assert s.dim_irrep == 2 and s.multiplicity == 2
-    assert s.plancherel == Fraction(4, 6)
-    assert s.schur_weyl == Fraction(4, 8)
-    assert 0 <= s.plancherel <= 1 and 0 <= s.schur_weyl <= 1
-
-
-# ----------------------------------------------------------- characters
-
-def test_character_trivial_rep():
-    for n in range(1, 9):
-        for mu in enumerate_partitions(n):
-            assert character(YoungDiagram((n,)), mu) == 1
-
-
-def test_character_at_identity_is_dimension():
-    for n in range(1, 9):
-        identity = YoungDiagram((1,) * n)
-        for lam in enumerate_partitions(n):
-            assert character(lam, identity) == dim_irrep(lam)
-
-
-def test_character_examples():
-    assert character(YoungDiagram((2, 1)), YoungDiagram((1, 1, 1))) == 2
-    assert character(YoungDiagram((2, 1)), YoungDiagram((3,))) == -1
-    # sign representation: (-1)^(n - number of cycles)
-    assert character(YoungDiagram((1, 1, 1, 1)), YoungDiagram((2, 1, 1))) == -1
-    assert character(YoungDiagram((1, 1, 1, 1)), YoungDiagram((2, 2))) == 1
-
-
-def test_character_std_rep_matches_explicit_matrices():
-    # trace of the permutation action on one 2-dim invariant block for n=3
-    import numpy as np
-    from permcode.qsim import all_perms, build_gamma, cycle_type, n3_irrep_basis
-
-    basis = n3_irrep_basis()
-    block = np.stack([basis["1,1"], basis["1,2"]]).T
-    for p in all_perms(3):
-        mat = block.conj().T @ build_gamma(p, 3, 2).matrix @ block
-        assert np.trace(mat).real == pytest.approx(
-            character(YoungDiagram((2, 1)), cycle_type(p)), abs=1e-12
-        )
-        assert abs(np.trace(mat).imag) < 1e-12
-
-
-def test_character_column_orthogonality():
-    n = 6
-    parts = list(enumerate_partitions(n))
-    for mu in parts:
-        for nu in parts:
-            s = sum(character(lam, mu) * character(lam, nu) for lam in parts)
-            assert s == (centralizer_order(mu.rows) if mu == nu else 0)
-
-
-def test_character_size_mismatch():
-    with pytest.raises(ValueError):
-        character(YoungDiagram((2, 1)), YoungDiagram((2, 2)))
-
-
 # ------------------------------------------------------------------ RSK
 
 def test_rsk_examples():
@@ -330,18 +259,17 @@ def test_rsk_permutation_vs_reverse_transposes(perm):
 # ------------------------------------------------------------- sampling
 
 def test_sampling_deterministic_given_seed():
-    assert sample_plancherel(8, 123).rows == sample_plancherel(8, 123).rows
-    assert sample_schur_weyl(8, 3, 99).rows == sample_schur_weyl(8, 3, 99).rows
+    assert list(draw_shapes(8, 3, 50, 123, 1.0)) == list(draw_shapes(8, 3, 50, 123, 1.0))
+    assert list(draw_shapes(8, 3, 50, 99, 0.0)) == list(draw_shapes(8, 3, 50, 99, 0.0))
 
 
 def test_schur_weyl_single_letter():
-    for seed in range(5):
-        assert sample_schur_weyl(3, 1, seed).rows == (3,)
+    assert [shape.rows for shape in draw_shapes(3, 1, 5, 0, 0.0)] == [(3,)] * 5
 
 
 def test_plancherel_frequency_n3():
     draws = 100_000
-    hits = sum(sample_plancherel(3, seed).rows == (2, 1) for seed in range(draws))
+    hits = sum(shape.rows == (2, 1) for shape in draw_shapes(3, 1, draws, 0, 1.0))
     p = Fraction(4, 6)
     sigma = math.sqrt(float(p) * (1 - float(p)) / draws)
     assert abs(hits / draws - float(p)) < 3 * sigma
@@ -349,7 +277,7 @@ def test_plancherel_frequency_n3():
 
 def test_schur_weyl_frequency_n2_d2():
     draws = 100_000
-    hits = sum(sample_schur_weyl(2, 2, seed).rows == (2,) for seed in range(draws))
+    hits = sum(shape.rows == (2,) for shape in draw_shapes(2, 2, draws, 0, 0.0))
     sigma = math.sqrt(0.75 * 0.25 / draws)
     assert abs(hits / draws - 0.75) < 3 * sigma
 
@@ -362,10 +290,18 @@ def test_plancherel_chi_square_n6():
         diag.rows: Fraction(dim_irrep(diag) ** 2, math.factorial(n))
         for diag in enumerate_partitions(n)
     }
-    counts = Counter(sample_plancherel(n, seed).rows for seed in range(draws))
+    counts = Counter(shape.rows for shape in draw_shapes(n, 1, draws, 0, 1.0))
     stat = sum(
         (counts.get(rows, 0) - draws * float(w)) ** 2 / (draws * float(w))
         for rows, w in weights.items()
     )
     p_value = chi2.sf(stat, df=len(weights) - 1)
     assert p_value > 1e-3
+
+
+def test_draw_shapes_rejects_empty_runs():
+    for n, d, count, share in ((0, 2, 5, 1.0), (3, 2, 0, 1.0), (3, 2, -3, 0.0), (3, 0, 5, 0.0)):
+        with pytest.raises(ValueError):
+            next(draw_shapes(n, d, count, 0, share))
+    # Plancherel draws never read d
+    assert next(draw_shapes(3, 0, 1, 0, 1.0)).n == 3
