@@ -1,7 +1,7 @@
-"""Empirical checks of the asymptotic machinery: short-column/short-row scans,
-Plancherel and Schur-Weyl tail bounds, the partition-count growth bound, and
-Monte Carlo estimation of the optimal success probability beyond the exact
-enumeration cap, from the one stream of random diagrams in ``draw_shapes``.
+"""Empirical checks of the asymptotic machinery: Plancherel and Schur-Weyl
+tail bounds, the partition-count growth bound, and Monte Carlo estimation of
+the optimal success probability beyond the exact enumeration cap, from the
+one stream of random diagrams in ``draw_shapes``.
 """
 
 from __future__ import annotations
@@ -10,15 +10,11 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .coding import CRITICAL_RATIO, CodingInstance, classical_success, info_bound, quantum_pmax_exact
 from .young import (
-    DEFAULT_ENUMERATION_CAP,
     YoungDiagram,
-    _content_product,
     enumerate_partitions,
     log_dim_irrep,
     log_multiplicity,
@@ -35,21 +31,6 @@ PLANCHEREL_SHARE = 0.99
 
 #: Miss probability of the rule-of-three bar reported when no draw was informative.
 RULE_OF_THREE_MISS = 0.05
-
-
-@dataclass
-class DominanceScanReport:
-    """Exhaustive short-vs-long diagram scan at one (n, d, A)."""
-
-    n: int
-    d: int
-    a_threshold: float
-    cutoff: float  # A * sqrt(n)
-    short_count: int = 0
-    long_count: int = 0
-    violations: int = 0
-    ties: int = 0
-    zero_mult_excluded: int = 0
 
 
 @dataclass
@@ -91,19 +72,6 @@ class McEstimate:
         return times_exp(self.ratio_stderr, self.log_scale)
 
 
-@dataclass
-class SweepRow:
-    n_boxes: int
-    n_colors: int
-    ratio: float
-    method: str
-    p_quantum_exact: Fraction | None  # exact rows
-    estimate: McEstimate | None  # sampled rows
-    p_classical: Fraction
-    info_bound: Fraction
-    ratio_to_bound: float
-
-
 def times_exp(x: float, log_scale: float) -> float:
     """x * e^log_scale for x >= 0 as a float, which is 0 or inf where it leaves the float range."""
     try:
@@ -115,59 +83,6 @@ def times_exp(x: float, log_scale: float) -> float:
 @lru_cache(maxsize=65536)
 def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
     return log_dim_irrep(rows), log_multiplicity(rows, d)
-
-
-def column_dominance_scan(
-    n: int, d: int, a_threshold: float, cap: int | None = None
-) -> DominanceScanReport:
-    """Count diagrams of n with first column shorter than A*sqrt(n) that fail
-    to satisfy D < m (the short-column claim for d above the critical ratio).
-
-    Diagnostic only: the claim is asymptotic.  Ties (D == m) are counted
-    separately; diagrams with zero multiplicity never enter the optimal
-    subspace and are excluded from the scan.
-    """
-    report = DominanceScanReport(n=n, d=d, a_threshold=a_threshold, cutoff=a_threshold * math.sqrt(n))
-    nfact = math.factorial(n)
-    for diag in enumerate_partitions(n, cap=cap):
-        rows = diag.rows
-        if len(rows) > d:
-            report.zero_mult_excluded += 1
-            continue
-        if len(rows) >= report.cutoff:
-            report.long_count += 1
-            continue
-        report.short_count += 1
-        # D > m exactly when the content product falls below n! (D = n!/H, m = C/H)
-        content = _content_product(rows, d)
-        if content == nfact:
-            report.ties += 1
-        elif content < nfact:
-            report.violations += 1
-    return report
-
-
-def row_dominance_scan(
-    n: int, d: int, a_threshold: float, cap: int | None = None
-) -> DominanceScanReport:
-    """Mirror scan: diagrams with first row shorter than A*sqrt(n) should have
-    m < D (the short-row claim for d below the critical ratio)."""
-    report = DominanceScanReport(n=n, d=d, a_threshold=a_threshold, cutoff=a_threshold * math.sqrt(n))
-    nfact = math.factorial(n)
-    for diag in enumerate_partitions(n, cap=cap):
-        rows = diag.rows
-        if rows[0] >= report.cutoff:
-            report.long_count += 1
-            continue
-        report.short_count += 1
-        if len(rows) > d:
-            continue  # m = 0 < D, satisfies the claim
-        content = _content_product(rows, d)
-        if content == nfact:
-            report.ties += 1
-        elif content > nfact:
-            report.violations += 1
-    return report
 
 
 def kerov_bound_check(n: int, cap: int | None = None) -> BoundCheckReport:
@@ -380,53 +295,3 @@ def pmax_estimate_schur_weyl(n: int, d: int, sample_count: int, seed: int) -> Mc
     n = 1, where only one shape exists).  Deterministic given the seed.
     """
     return _mixture_estimate(n, d, sample_count, seed, 0.0, "schur-weyl-mc")
-
-
-def choose_method(instance: CodingInstance, cap: int) -> str:
-    """The ``--method auto`` rule: "exact" up to the enumeration cap, else the
-    estimator for the instance's own d/N, "plancherel" above the critical
-    ratio and "schur-weyl" at or below it."""
-    if instance.n_boxes <= cap:
-        return "exact"
-    return "plancherel" if instance.above_critical else "schur-weyl"
-
-
-def threshold_sweep(
-    ratio: float,
-    n_list: list[int],
-    seed: int = 0,
-    sample_count: int = 10_000,
-    cap: int | None = None,
-) -> list[SweepRow]:
-    """For each N in n_list, set d = max(1, floor(ratio * N)) and compute the
-    quantum success probability by the method ``choose_method`` picks: exactly
-    up to the enumeration cap, by the estimator for d/N above it.  The i-th
-    sampled row uses seed + i."""
-    cap_val = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    out: list[SweepRow] = []
-    for i, n in enumerate(n_list):
-        if n < 1:
-            raise ValueError(f"n_list entries must be positive, got {n}")
-        if not math.isfinite(ratio * n):
-            raise ValueError(f"ratio * N must be finite, got {ratio} * {n}")
-        d = max(1, math.floor(ratio * n))
-        inst = CodingInstance(n, d)
-        bound = info_bound(inst)
-        method = choose_method(inst, cap_val)
-        if method == "exact":
-            rep = quantum_pmax_exact(inst, cap=cap_val)
-            p_exact, est, method = rep.p_quantum, None, rep.method
-            rtb = float(p_exact / bound)
-        else:
-            estimator = pmax_estimate_plancherel if method == "plancherel" else pmax_estimate_schur_weyl
-            p_exact, est = None, estimator(n, d, sample_count, seed + i)
-            method = est.method
-            log_bound = min(0.0, n * math.log(d) - math.lgamma(n + 1))
-            rtb = times_exp(est.ratio, est.log_scale - log_bound)
-        out.append(
-            SweepRow(
-                n_boxes=n, n_colors=d, ratio=d / n, method=method, p_quantum_exact=p_exact,
-                estimate=est, p_classical=classical_success(inst), info_bound=bound, ratio_to_bound=rtb,
-            )
-        )
-    return out

@@ -24,17 +24,15 @@ from . import __version__
 from .asymptotics import (
     HARDY_RAMANUJAN_C,
     McEstimate,
-    choose_method,
     draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
     kerov_row_bound_check,
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
-    threshold_sweep,
     times_exp,
 )
-from .coding import CodingInstance, classical_success, info_bound, quantum_pmax_exact
+from .coding import CodingInstance, CodingReport, classical_success, info_bound, quantum_pmax_exact
 from .qsim import (
     InternalQsimError,
     all_perms,
@@ -82,7 +80,18 @@ def frac_str(x: Fraction) -> str:
 
 
 def dec_str(x) -> str:
+    """x to 12 significant digits.  An exact ``Fraction`` below the normal
+    float range is divided in decimal, since a float would lose its digits."""
+    if isinstance(x, Fraction) and 0 < x < sys.float_info.min:
+        return _wide_str(_WIDE.divide(Decimal(x.numerator), Decimal(x.denominator)))
     return f"{float(x):.12g}"
+
+
+def _wide_str(value: Decimal) -> str:
+    """A value outside the float range as ``<mantissa>e<exponent>``, with the
+    12 digits ``dec_str`` prints."""
+    mantissa, exponent = f"{value:.11e}".split("e")
+    return f"{dec_str(float(mantissa))}e{int(exponent):+03d}"
 
 
 def _meta(args: argparse.Namespace, cap: int, extra: dict | None = None) -> dict:
@@ -137,24 +146,65 @@ def _scaled_str(x: float, log_scale: float) -> str:
     normal float, else as ``<mantissa>e<exponent>`` to the same 12 digits."""
     if x == 0.0 or sys.float_info.min <= times_exp(1.0, log_scale) < math.inf:
         return dec_str(times_exp(x, log_scale))
-    value = _WIDE.multiply(Decimal(x), _WIDE.exp(Decimal(log_scale)))
-    mantissa, exponent = f"{value:.11e}".split("e")
-    return f"{dec_str(float(mantissa))}e{int(exponent):+03d}"
+    return _wide_str(_WIDE.multiply(Decimal(x), _WIDE.exp(Decimal(log_scale))))
 
 
-def _quantum_columns(
-    method: str, p_exact: Fraction | None, est: McEstimate | None, p_classical: Fraction, bound: Fraction
-) -> dict:
-    """The columns that pmax and sweep share, for an exact value or an estimate."""
-    if est is None:
-        quantum = {"p_quantum": dec_str(p_exact), "p_quantum_exact": frac_str(p_exact), "stderr": ""}
-    else:
+def pmax(
+    instance: CodingInstance, method: str = "auto", cap: int = DEFAULT_ENUMERATION_CAP,
+    samples: int = 10_000, seed: int = 0,
+) -> CodingReport | McEstimate:
+    """P_max of one instance by ``method``: "exact" (the search of
+    ``quantum_pmax_exact``, up to ``cap`` boxes), "plancherel" or "schur-weyl"
+    (the estimator from ``samples`` draws of the stream ``seed``), or "auto":
+    exact up to the cap, else the estimator for the instance's own d/N,
+    Plancherel above the critical ratio and Schur-Weyl at or below it.
+
+    The three functions are looked up in this module at each call, so a
+    wrapper installed over them sees every call."""
+    if method == "auto":
+        if instance.n_boxes <= cap:
+            method = "exact"
+        else:
+            method = "plancherel" if instance.above_critical else "schur-weyl"
+    n, d = instance.n_boxes, instance.n_colors
+    if method == "exact":
+        return quantum_pmax_exact(instance, cap=cap)
+    if method == "plancherel":
+        return pmax_estimate_plancherel(n, d, samples, seed)
+    if method == "schur-weyl":
+        return pmax_estimate_schur_weyl(n, d, samples, seed)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def sweep(
+    ratio: float, n_list: list[int], cap: int = DEFAULT_ENUMERATION_CAP, samples: int = 10_000, seed: int = 0
+) -> list[tuple[CodingInstance, CodingReport | McEstimate]]:
+    """For each N in n_list, the instance with d = max(1, floor(ratio * N))
+    and its P_max by the "auto" rule of ``pmax``.  The i-th row's estimator
+    reads the stream seed + i."""
+    rows = []
+    for i, n in enumerate(n_list):
+        if n < 1:
+            raise ValueError(f"n_list entries must be positive, got {n}")
+        if not math.isfinite(ratio * n):
+            raise ValueError(f"ratio * N must be finite, got {ratio} * {n}")
+        inst = CodingInstance(n, max(1, math.floor(ratio * n)))
+        rows.append((inst, pmax(inst, "auto", cap, samples, seed + i)))
+    return rows
+
+
+def _quantum_columns(instance: CodingInstance, result: CodingReport | McEstimate) -> dict:
+    """The columns that pmax and sweep share, for an exact report or an estimate."""
+    if isinstance(result, McEstimate):
         quantum = {
-            "p_quantum": _scaled_str(est.ratio, est.log_scale), "p_quantum_exact": "",
-            "stderr": _scaled_str(est.ratio_stderr, est.log_scale),
+            "p_quantum": _scaled_str(result.ratio, result.log_scale), "p_quantum_exact": "",
+            "stderr": _scaled_str(result.ratio_stderr, result.log_scale),
         }
+    else:
+        quantum = {"p_quantum": dec_str(result.p_quantum), "p_quantum_exact": frac_str(result.p_quantum), "stderr": ""}
+    p_classical, bound = classical_success(instance), info_bound(instance)
     return {
-        "method": method, **quantum,
+        "method": result.method, **quantum,
         "p_classical": dec_str(p_classical), "p_classical_exact": frac_str(p_classical),
         "info_bound": dec_str(bound), "info_bound_exact": frac_str(bound),
     }
@@ -163,39 +213,29 @@ def _quantum_columns(
 def cmd_pmax(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
     inst = CodingInstance(args.n, args.d)
-    method = choose_method(inst, cap) if args.method == "auto" else args.method
-    if method == "exact":
-        rep = quantum_pmax_exact(inst, cap=cap)
-        row = {
-            "n": args.n, "d": args.d,
-            **_quantum_columns(rep.method, rep.p_quantum, None, rep.p_classical, rep.p_info_bound),
-            "dim_w": rep.dim_w, "informative_draws": "",
-        }
-        lines = [
-            f"p_quantum = {row['p_quantum_exact']} ({row['p_quantum']})",
-            f"p_classical = {row['p_classical_exact']} ({row['p_classical']})",
-            f"info_bound = {row['info_bound_exact']} ({row['info_bound']})",
-            f"dim_w = {rep.dim_w}",
-            f"min_side_counts = {rep.min_side_counts}",
-        ]
-    else:
-        fn = pmax_estimate_plancherel if method == "plancherel" else pmax_estimate_schur_weyl
-        est = fn(args.n, args.d, args.samples, args.seed)
-        row = {
-            "n": args.n, "d": args.d,
-            **_quantum_columns(est.method, None, est, classical_success(inst), info_bound(inst)),
-            "dim_w": "", "informative_draws": est.informative,
-        }
-        if est.informative:
+    result = pmax(inst, args.method, cap, args.samples, args.seed)
+    row = {"n": args.n, "d": args.d, **_quantum_columns(inst, result)}
+    if isinstance(result, McEstimate):
+        row.update(dim_w="", informative_draws=result.informative)
+        if result.informative:
             bar_kind = "sampled error bar"
-        elif est.ratio_stderr:
+        elif result.ratio_stderr:
             bar_kind = "rule-of-three error bar"
         else:
             bar_kind = "one possible shape, exact"
         lines = [
-            f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({est.method})",
-            f"sampled_mean = {dec_str(est.ratio)} +/- {dec_str(est.ratio_stderr)}",
-            f"informative_draws = {est.informative} of {est.samples} ({bar_kind})",
+            f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({result.method})",
+            f"sampled_mean = {dec_str(result.ratio)} +/- {dec_str(result.ratio_stderr)}",
+            f"informative_draws = {result.informative} of {result.samples} ({bar_kind})",
+        ]
+    else:
+        row.update(dim_w=result.dim_w, informative_draws="")
+        lines = [
+            f"p_quantum = {row['p_quantum_exact']} ({row['p_quantum']})",
+            f"p_classical = {row['p_classical_exact']} ({row['p_classical']})",
+            f"info_bound = {row['info_bound_exact']} ({row['info_bound']})",
+            f"dim_w = {result.dim_w}",
+            f"min_side_counts = {result.min_side_counts}",
         ]
     _emit(args, _meta(args, cap, {"method": row["method"]}), [row], lines)
 
@@ -212,16 +252,21 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     n_list = [int(x) for x in args.n_list.split(",") if x]
     rows_out = []
     lines = []
-    for r in threshold_sweep(args.r, n_list, seed=args.seed, sample_count=args.samples, cap=cap):
+    for inst, result in sweep(args.r, n_list, cap, args.samples, args.seed):
+        n, d = inst.n_boxes, inst.n_colors
+        if isinstance(result, McEstimate):
+            log_bound = min(0.0, n * math.log(d) - math.lgamma(n + 1))
+            ratio_to_bound = times_exp(result.ratio, result.log_scale - log_bound)
+        else:
+            ratio_to_bound = float(result.p_quantum / info_bound(inst))
         row = {
-            "n": r.n_boxes, "d": r.n_colors, "r": dec_str(r.ratio),
-            **_quantum_columns(r.method, r.p_quantum_exact, r.estimate, r.p_classical, r.info_bound),
-            "ratio_to_bound": dec_str(r.ratio_to_bound),
+            "n": n, "d": d, "r": dec_str(d / n), **_quantum_columns(inst, result),
+            "ratio_to_bound": dec_str(ratio_to_bound),
         }
         rows_out.append(row)
         lines.append(
-            f"N={r.n_boxes} d={r.n_colors} p_quantum={row['p_quantum']} "
-            f"({r.method}) ratio_to_bound={row['ratio_to_bound']}"
+            f"N={n} d={d} p_quantum={row['p_quantum']} "
+            f"({result.method}) ratio_to_bound={row['ratio_to_bound']}"
         )
     _emit(args, _meta(args, cap, {"r": args.r, "samples": args.samples}), rows_out, lines)
 
@@ -425,8 +470,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="tail and growth bound checks")
     p.add_argument("--kerov-n", type=int, default=40)
-    p.add_argument("--kerov-row-n", type=int, default=25)
-    p.add_argument("--kerov-row-d", type=int, default=5)
+    p.add_argument("--kerov-row-n", type=int, default=30)
+    p.add_argument("--kerov-row-d", type=int, default=15)
     p.add_argument("--erdos-n", type=int, default=500)
     p.add_argument("--c", type=float, default=HARDY_RAMANUJAN_C)
     common(p)

@@ -48,8 +48,6 @@ class CodingReport:
 
     instance: CodingInstance
     p_quantum: Fraction
-    p_classical: Fraction
-    p_info_bound: Fraction
     method: str  # "exact-enumeration"
     dim_w: int | None = None
     # per-diagram min(m, D) outcome counts: which side of the min wins
@@ -97,8 +95,6 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
     return CodingReport(
         instance=instance,
         p_quantum=Fraction(dim_w, nfact),
-        p_classical=classical_success(instance),
-        p_info_bound=info_bound(instance),
         method="exact-enumeration",
         dim_w=dim_w,
         min_side_counts=counts,

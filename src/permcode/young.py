@@ -58,12 +58,6 @@ class YoungDiagram:
     def conjugate(self) -> "YoungDiagram":
         return YoungDiagram(_conjugate(self.rows))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def _conjugate(rows: Sequence[int]) -> tuple[int, ...]:
     if not rows:

@@ -25,10 +25,9 @@ from permcode.asymptotics import (
     kerov_bound_check,
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
-    threshold_sweep,
 )
-from permcode.cli import SYMMETRIZE_POVMS, verify_checks
-from permcode.coding import CodingInstance, classical_success, quantum_pmax_exact
+from permcode.cli import SYMMETRIZE_POVMS, sweep, verify_checks
+from permcode.coding import CodingInstance, classical_success, info_bound, quantum_pmax_exact
 from permcode.young import dim_irrep, dim_mult_ratio, enumerate_partitions, multiplicity
 
 
@@ -142,8 +141,8 @@ def test_criterion_04_ratio_formula():
 
 def test_criterion_05_branch_above_critical():
     start = time.monotonic()
-    rows = threshold_sweep(0.5, sorted(GOLDEN_R_HALF))
-    values = {r.n_boxes: r.p_quantum_exact for r in rows}
+    rows = sweep(0.5, sorted(GOLDEN_R_HALF))
+    values = {inst.n_boxes: rep.p_quantum for inst, rep in rows}
     golden_ok = values == GOLDEN_R_HALF
     seq = [values[n] for n in sorted(values)]
     increasing = all(a < b for a, b in zip(seq, seq[1:]))
@@ -160,10 +159,10 @@ def test_criterion_05_branch_above_critical():
 
 
 def test_criterion_06_branch_below_critical():
-    rows = threshold_sweep(0.2, sorted(GOLDEN_R_FIFTH))
-    values = {r.n_boxes: r.p_quantum_exact for r in rows}
+    rows = sweep(0.2, sorted(GOLDEN_R_FIFTH))
+    values = {inst.n_boxes: rep.p_quantum for inst, rep in rows}
     golden_ok = values == GOLDEN_R_FIFTH
-    ratios = [values[n] / Fraction(r.info_bound) for n, r in zip(sorted(values), rows)]
+    ratios = [rep.p_quantum / info_bound(inst) for inst, rep in rows]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     below_one = all(r < 1 for r in ratios)
     # the adjudicated (4, 2) instance: the exact formula gives 1/2 (not 17/24),
@@ -171,7 +170,7 @@ def test_criterion_06_branch_below_critical():
     # agrees, and the value respects the counting bound 2/3.  The resolution
     # is documented in README.md, which these goldens were frozen against.
     rep42 = quantum_pmax_exact(CodingInstance(4, 2))
-    adjudicated = rep42.p_quantum == Fraction(1, 2) and rep42.p_quantum <= rep42.p_info_bound
+    adjudicated = rep42.p_quantum == Fraction(1, 2) and rep42.p_quantum <= info_bound(CodingInstance(4, 2))
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     documented = readme.exists() and "(4, 2)" in readme.read_text()
     ok = golden_ok and increasing and below_one and adjudicated and documented

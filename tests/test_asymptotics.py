@@ -1,63 +1,18 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from permcode.asymptotics import (
-    CRITICAL_RATIO,
     HARDY_RAMANUJAN_C,
     draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
     kerov_row_bound_check,
-    column_dominance_scan,
-    row_dominance_scan,
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
-    threshold_sweep,
 )
-from permcode.coding import CodingInstance, quantum_pmax_exact, info_bound
-from permcode.young import CapacityError, log_dim_irrep, log_multiplicity, partition_count
-
-
-# ------------------------------------------------------- dominance scans
-
-def test_column_dominance_scan_n3():
-    rep = column_dominance_scan(3, 2, 2.0)
-    assert rep.short_count == 2 and rep.long_count == 0
-    assert rep.violations == 0 and rep.ties == 1  # [2,1] has D = m = 2
-    assert rep.zero_mult_excluded == 1  # [1,1,1] never appears at d = 2
-
-
-def test_column_dominance_scan_single_box():
-    rep = column_dominance_scan(1, 1, 1.0)
-    assert rep.short_count == 0 and rep.long_count == 1  # cutoff not exceeded
-    rep = column_dominance_scan(1, 1, 2.0)
-    assert rep.ties == 1 and rep.violations == 0  # [1] has D = m = 1
-
-
-def test_column_dominance_scan_n40():
-    # the short-column claim is asymptotic: at n=40, d=20, A=2 exactly four
-    # near-rectangular diagrams with 12 rows still have D slightly above m
-    rep = column_dominance_scan(40, 20, 2.0)
-    assert rep.short_count + rep.long_count + rep.zero_mult_excluded == partition_count(40)
-    assert rep.violations == 4
-
-
-def test_row_dominance_scan_n3_d1():
-    rep = row_dominance_scan(3, 1, 2.0)
-    assert rep.violations == 0
-    assert rep.ties == 1  # only [3] survives at d = 1, with D = m = 1
-
-
-def test_row_dominance_scan_n6_d2():
-    rep = row_dominance_scan(6, 2, 1.0)
-    assert rep.short_count + rep.long_count == partition_count(6) == 11
-
-
-def test_row_dominance_scan_vacuous():
-    rep = row_dominance_scan(1, 1, 0.5)
-    assert rep.short_count == 0 and rep.violations == 0
+from permcode.coding import CRITICAL_RATIO, CodingInstance, quantum_pmax_exact
+from permcode.young import log_dim_irrep, log_multiplicity, partition_count
 
 
 # ---------------------------------------------------------- tail bounds
@@ -179,44 +134,6 @@ def test_both_estimators_agree():
     b = pmax_estimate_schur_weyl(n, d, 20_000, seed=12)
     combined = math.hypot(a.stderr, b.stderr)
     assert abs(a.estimate - b.estimate) <= 4 * combined
-
-
-# -------------------------------------------------------------- sweeps
-
-def test_sweep_exact_increasing_r_half():
-    rows = threshold_sweep(0.5, [10, 20, 30])
-    values = [r.p_quantum_exact for r in rows]
-    assert all(isinstance(v, Fraction) for v in values)
-    assert values[0] < values[1] < values[2]
-
-
-def test_sweep_ratio_to_bound_increasing_r_fifth():
-    rows = threshold_sweep(0.2, [10, 20, 30])
-    ratios = [r.p_quantum_exact / r.info_bound for r in rows]
-    assert ratios[0] < ratios[1] < ratios[2]
-
-
-def test_sweep_r_one_gives_certainty():
-    rows = threshold_sweep(1.0, [4, 6, 8])
-    assert all(r.p_quantum_exact == 1 for r in rows)
-
-
-def test_sweep_uses_mc_above_cap():
-    rows = threshold_sweep(0.5, [10], seed=0, sample_count=2000, cap=5)
-    assert rows[0].method == "plancherel-mc"
-    assert rows[0].estimate is not None and rows[0].estimate.stderr > 0
-    rows = threshold_sweep(0.2, [10], seed=0, sample_count=2000, cap=5)
-    assert rows[0].method == "schur-weyl-mc"
-
-
-def test_sweep_enforces_min_one_color():
-    rows = threshold_sweep(0.05, [10])
-    assert rows[0].n_colors == 1
-
-
-def test_sweep_rejects_bad_n():
-    with pytest.raises(ValueError):
-        threshold_sweep(0.5, [0])
 
 
 def test_critical_ratio_constant():

@@ -2,12 +2,15 @@ import contextlib
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permcode.cli import _int_str, main
+from permcode.asymptotics import McEstimate
+from permcode.cli import _int_str, dec_str, main, sweep
+from permcode.coding import info_bound
 
 
 def run_cli(capsys, argv):
@@ -118,6 +121,35 @@ SWEEP_JSON_FROZEN = {
     ],
 }
 
+# CSV column order for each result kind, frozen before pmax and sweep shared
+# one pmax entry.  At (1000, 200) p_classical = 1/120^200 printed "0" then:
+# its float underflowed.
+PMAX_EXACT_CSV_FROZEN = "".join(
+    f"# {line}\n" for line in ("version=0.1.0", "command=pmax", "cap=66", "seed=0", "method=exact-enumeration")
+) + "".join(
+    f"{line}\r\n"
+    for line in (
+        "n,d,method,p_quantum,p_quantum_exact,stderr,p_classical,p_classical_exact,"
+        "info_bound,info_bound_exact,dim_w,informative_draws",
+        "30,15,exact-enumeration,0.999154251545,1523152428826669440838439164121/1524441723058569302507520000000,,"
+        "3.0517578125e-05,1/32768,1,1,265028522615840482705888414557054,",
+    )
+)
+
+_BOUND_1000_200 = Fraction(200**1000, math.factorial(1000))
+PMAX_SCHUR_WEYL_CSV_FROZEN = "".join(
+    f"# {line}\n" for line in ("version=0.1.0", "command=pmax", "cap=66", "seed=0", "method=schur-weyl-mc")
+) + "".join(
+    f"{line}\r\n"
+    for line in (
+        "n,d,method,p_quantum,p_quantum_exact,stderr,p_classical,p_classical_exact,"
+        "info_bound,info_bound_exact,dim_w,informative_draws",
+        "1000,200,schur-weyl-mc,2.66287905582e-267,,7.85896816718e-269,"
+        f"1.45797739465e-416,1/{120**200},"
+        f"2.66287905582e-267,{_BOUND_1000_200.numerator}/{_BOUND_1000_200.denominator},,0",
+    )
+)
+
 PMAX_PLANCHEREL_JSON_FROZEN = {
     "meta": {"version": "0.1.0", "command": "pmax", "cap": 66, "seed": 0, "method": "plancherel-mc"},
     "rows": [
@@ -143,8 +175,13 @@ PMAX_PLANCHEREL_JSON_FROZEN = {
             "pmax --n 70 --d 35 --method plancherel --samples 200 --format json",
             json.dumps(PMAX_PLANCHEREL_JSON_FROZEN, indent=2) + "\n",
         ),
+        ("pmax --method exact --n 30 --d 15 --format csv", PMAX_EXACT_CSV_FROZEN),
+        (
+            "pmax --method schur-weyl --n 1000 --d 200 --samples 100 --format csv",
+            PMAX_SCHUR_WEYL_CSV_FROZEN,
+        ),
     ],
-    ids=["sweep-csv", "sweep-json", "pmax-plancherel-json"],
+    ids=["sweep-csv", "sweep-json", "pmax-plancherel-json", "pmax-exact-csv", "pmax-schur-weyl-csv"],
 )
 def test_mixed_reports_frozen(capsys, argv, expected):
     code, out, _ = run_cli(capsys, argv.split())
@@ -225,7 +262,7 @@ def test_int_str_digit_limit():
 def test_long_rationals_print_digit_count(capsys):
     code, out, _ = run_cli(capsys, ["classical", "--n", "3000", "--d", "2"])
     assert code == 0
-    assert "p_classical = 1/<8230-digit integer, above the 4300-digit print limit> (0)" in out
+    assert "p_classical = 1/<8230-digit integer, above the 4300-digit print limit> (4.31866145336e-8230)" in out
     argv = ["pmax", "--n", "2000", "--d", "200", "--samples", "20"]
     code, _, _ = run_cli(capsys, argv)
     assert code == 0
@@ -233,6 +270,50 @@ def test_long_rationals_print_digit_count(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["info_bound_exact"].endswith("/<4787-digit integer, above the 4300-digit print limit>")
+
+
+def test_exact_decimals_below_the_float_range(capsys):
+    # a float would print 1e-400 as 0 and 3e-320 (subnormal) with wrong digits
+    assert dec_str(Fraction(1, 10**400)) == "1e-400"
+    assert dec_str(Fraction(3, 10**320)) == "3e-320"
+    assert dec_str(Fraction(1, 2)) == "0.5" and dec_str(Fraction(0)) == "0"
+    code, out, _ = run_cli(capsys, ["classical", "--n", "200", "--d", "2"])  # 1/(100!)^2
+    assert code == 0 and out.endswith(" (1.14813429756e-316)\n")
+    code, out, _ = run_cli(capsys, ["classical", "--n", "300", "--d", "2"])  # 1/(150!)^2
+    assert code == 0 and out.endswith(" (3.06346680053e-526)\n")
+
+
+def test_sweep_exact_increasing_r_half():
+    values = [rep.p_quantum for _, rep in sweep(0.5, [10, 20, 30])]
+    assert all(isinstance(v, Fraction) for v in values)
+    assert values[0] < values[1] < values[2]
+
+
+def test_sweep_ratio_to_bound_increasing_r_fifth():
+    ratios = [rep.p_quantum / info_bound(inst) for inst, rep in sweep(0.2, [10, 20, 30])]
+    assert ratios[0] < ratios[1] < ratios[2]
+
+
+def test_sweep_r_one_gives_certainty():
+    assert all(rep.p_quantum == 1 for _, rep in sweep(1.0, [4, 6, 8]))
+
+
+def test_sweep_uses_mc_above_cap():
+    [(_, est)] = sweep(0.5, [10], cap=5, samples=2000, seed=0)
+    assert est.method == "plancherel-mc"
+    assert isinstance(est, McEstimate) and est.stderr > 0
+    [(_, est)] = sweep(0.2, [10], cap=5, samples=2000, seed=0)
+    assert est.method == "schur-weyl-mc"
+
+
+def test_sweep_enforces_min_one_color():
+    [(inst, _)] = sweep(0.05, [10])
+    assert inst.n_colors == 1
+
+
+def test_sweep_rejects_bad_n():
+    with pytest.raises(ValueError):
+        sweep(0.5, [0])
 
 
 def test_sweep_csv_schema(capsys):
@@ -322,6 +403,15 @@ def test_bounds_command(capsys):
     )
     assert code == 0
     assert "violations=0" in out
+
+
+def test_bounds_default_row_check_is_not_vacuous(capsys):
+    # at (30, 15) 19 of the 5604 diagrams give a nonvacuous Schur-Weyl tail bound
+    code, out, _ = run_cli(capsys, ["bounds"])
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("schur-weyl-row-tail"))
+    assert line.startswith("schur-weyl-row-tail (n=30,d=15): violations=0 ")
+    assert math.isfinite(float(line.split("max_slack=")[1]))
 
 
 def test_bounds_rejects_nan_constant(capsys):

@@ -53,7 +53,7 @@ def test_pmax_four_boxes_two_colors_adjudicated():
     assert rep.dim_w == 12
     assert rep.p_quantum == pmax_oracle(4, 2)
     # and it respects the counting bound 16/24
-    assert rep.p_quantum <= rep.p_info_bound == Fraction(2, 3)
+    assert rep.p_quantum <= info_bound(CodingInstance(4, 2)) == Fraction(2, 3)
 
 
 def test_pmax_matches_tableau_oracle_small_grid():
@@ -117,8 +117,8 @@ def test_info_bound_near_d_equals_n():
 def test_probability_ordering_grid():
     for n in range(1, 9):
         for d in range(1, 9):
-            rep = quantum_pmax_exact(CodingInstance(n, d))
-            assert rep.p_classical <= rep.p_quantum <= rep.p_info_bound <= 1
+            inst = CodingInstance(n, d)
+            assert classical_success(inst) <= quantum_pmax_exact(inst).p_quantum <= info_bound(inst) <= 1
 
 
 def test_pmax_certainty_when_colors_sufficient():
