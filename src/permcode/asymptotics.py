@@ -219,7 +219,8 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     against B, m < D against 1.  If no draw was informative, the unseen set
     has q-mass below 1 - 0.05^(1/k) at 95% confidence (the rule of three,
     about 3/k for k draws), and the error bar of the mean is raised to that
-    mass times the weight bound.  Only where q puts all its mass on one
+    mass times the weight bound.  A single draw shows no spread, so its error
+    bar is the weight bound itself.  Only where q puts all its mass on one
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
     """
     if n < 1 or d < 1 or sample_count < 1:
@@ -253,14 +254,18 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
         v = math.exp(log_v - top)
         rel += v
         rel_sq += v * v
-    if neg_inf < top < math.log(sys.float_info.min):
-        log_scale += top
-        total, total_sq = rel, rel_sq
+    single_shape = n == 1 or (relative_to_bound and d == 1)
+    log_weight_cap = min(-log_alpha, log_bound - log_beta)
+    # one draw shows no spread, so its bar is the weight bound itself, which
+    # the scale then keeps in the float range
+    peak = max(top, log_weight_cap - log_scale) if sample_count == 1 and not single_shape else top
+    if neg_inf < peak < math.log(sys.float_info.min):
+        log_scale += peak
+        total, total_sq = rel * math.exp(top - peak), rel_sq * math.exp(2 * (top - peak))
     ratio, ratio_stderr = _mean_stderr(total, total_sq, sample_count)
-    if informative == 0 and not (n == 1 or (relative_to_bound and d == 1)):
-        log_weight_cap = min(-log_alpha, log_bound - log_beta) - log_scale
-        unseen_mass = 1.0 - RULE_OF_THREE_MISS ** (1.0 / sample_count)
-        ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap) * unseen_mass)
+    if not single_shape and (informative == 0 or sample_count == 1):
+        unseen_mass = 1.0 if sample_count == 1 else 1.0 - RULE_OF_THREE_MISS ** (1.0 / sample_count)
+        ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap - log_scale) * unseen_mass)
     return McEstimate(
         n=n, d=d, samples=sample_count, seed=seed, method=method,
         ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative,

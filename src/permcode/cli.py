@@ -217,7 +217,9 @@ def cmd_pmax(args: argparse.Namespace) -> None:
     row = {"n": args.n, "d": args.d, **_quantum_columns(inst, result)}
     if isinstance(result, McEstimate):
         row.update(dim_w="", informative_draws=result.informative)
-        if result.informative:
+        if result.samples == 1 and result.ratio_stderr:
+            bar_kind = "one draw, weight-bound error bar"
+        elif result.informative:
             bar_kind = "sampled error bar"
         elif result.ratio_stderr:
             bar_kind = "rule-of-three error bar"

@@ -4,13 +4,17 @@ the quantum optimum, the classical optimum, and the counting bound.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .young import (
     CapacityError,
     DEFAULT_ENUMERATION_CAP,
+    InternalInvariantError,
     _content_product,
     _hook_product,
     _partitions_revlex,
@@ -20,6 +24,15 @@ from .young import (
 
 #: Color ratio d/N separating the two asymptotic regimes.
 CRITICAL_RATIO = 1.0 / math.e
+
+#: Smallest N whose exact search is split over the usable CPUs.  Below it a
+#: search takes a few milliseconds, the order of what a fork and reaping the
+#: child cost.
+SPLIT_FROM_N = 40
+
+#: Completion products the exact search keeps at once.  The cache starts over
+#: when full, which bounds its memory at any N.
+TAIL_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,9 @@ class CodingReport:
     dim_w: int | None = None
     # per-diagram min(m, D) outcome counts: which side of the min wins
     min_side_counts: dict[str, int] = field(default_factory=dict)
+    # the search in _gap_side, summed over its shares: prefixes visited, kept
+    # and pruned, and the diagrams kept (leaves)
+    search_counts: dict[str, int] = field(default_factory=dict)
 
 
 def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> CodingReport:
@@ -64,10 +80,8 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
         N! * P = N!  - sum over {m < D} of (D - m) * D    (d/N >  CRITICAL_RATIO)
 
     so only the diagrams on the side that carries the gap are visited, by the
-    search in ``_gap_side``.  Above the critical ratio the zero-multiplicity
-    diagrams (more than d rows, D - m = D) are summed on their own.  The
-    ``min_side_counts`` of the side not visited follow exactly from p(N) and
-    p(N, <= d parts).
+    search in ``_gap_side``.  The ``min_side_counts`` of the side not visited
+    follow exactly from p(N) and p(N, <= d parts).
     """
     n, d = instance.n_boxes, instance.n_colors
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
@@ -78,11 +92,8 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
         )
     nfact = math.factorial(n)
     above = instance.above_critical
-    gap, strict, ties = _gap_side(n, d, above)
-    if above:
-        dim_w = nfact - gap - _zero_mult_mass(n, d)
-    else:
-        dim_w = d**n - gap
+    gap, strict, ties, search_counts = _gap_side(n, d, above)
+    dim_w = (nfact if above else d**n) - gap
     fits = partition_count_at_most(n, d)  # diagrams with m > 0
     hidden = fits - strict - ties
     dim_wins, mult_wins = (hidden, strict) if above else (strict, hidden)
@@ -98,10 +109,13 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
         method="exact-enumeration",
         dim_w=dim_w,
         min_side_counts=counts,
+        search_counts=search_counts,
     )
 
 
-def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int]:
+def _gap_side(
+    n: int, d: int, above: bool, shares: int | None = None
+) -> tuple[int, int, int, dict[str, int]]:
     """Visit every diagram on the gap-carrying side of m = D, pruning by dominance.
 
     With C = prod over cells of (d + content), m = C/H and D = n!/H share the
@@ -118,68 +132,130 @@ def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int]:
     the test, or needs more rows than allowed, so does every completion of
     the prefix and every shorter choice of its last row.
 
-    Returns (sum over the kept diagrams of |m - D| * D, the number of them
-    with m != D, the number with m = D).
+    The first rows that pass the test are dealt round-robin into ``shares``
+    shares, by default one per usable CPU from N = SPLIT_FROM_N on.  Share 0
+    runs in this process and each other share in a forked child
+    (``_sum_over_shares``).  Every partial result is an integer, so the split
+    cannot change the sum.
+
+    Returns (sum over the gap side of |m - D| * D, the number of searched
+    diagrams with m != D, the number with m = D, the search counters).
+    Above the critical ratio the gap side also holds the diagrams with more
+    than d rows (m = 0), whose D^2 the shares sum in ``_zero_mult_mass``,
+    likewise dealt round-robin.
     """
     nfact = math.factorial(n)
     sign = -1 if above else 1
+    bound = sign * nfact  # a completion passes the test when sign * C >= bound
     max_rows = n if above else d
-    row_products: dict[tuple[int, int], int] = {}
+    top = min(d, n) if above else n
+    factorials = [1]
+    for i in range(1, top + 1):
+        factorials.append(factorials[-1] * i)
+    # Both tables are filled on demand.  rows[i][length] is the product of the
+    # factors of row i of the searched diagram, 0 until filled.  tails[k,
+    # remaining, length] is the product of the rows k, k+1, ... of the
+    # dominance-largest completion, 0 if it needs more than max_rows rows;
+    # it holds at most TAIL_CACHE_SIZE of them.
+    rows: list[list[int] | None] = [None] * max_rows
+    tails: dict[tuple[int, int, int], int] = {}
+
+    def row_table(i: int) -> list[int]:
+        rows[i] = [0] * (top + 1)
+        return rows[i]
 
     def row(i: int, length: int) -> int:
-        # prod over j < length of (d + sign * (j - i)), the factors of row i of
-        # the searched diagram: `length` consecutive integers from `base` up
-        key = (i, length)
-        if key not in row_products:
+        # prod over j < length of (d + sign * (j - i)): `length` consecutive
+        # integers from `base` up
+        table = rows[i] or row_table(i)
+        if not table[length]:
             base = d + i - length + 1 if above else d - i
-            row_products[key] = _content_product((length,), base)
-        return row_products[key]
+            table[length] = _content_product((length,), base)
+        return table[length]
 
-    gap = strict = ties = 0
-    # shifted[i] = (length of row i) - i.  The hook product of rows 0..k is
-    # prod_i (shifted[i] + k)! / V with V = prod_{i<j} (shifted[i] - shifted[j])
-    # (the hook-length formula in Frobenius form), and V gains one factor per
-    # earlier row as a row is added.
-    shifted: list[int] = []
+    def tail(k: int, remaining: int, length: int) -> int:
+        full, rest = divmod(remaining, length)
+        product = 0
+        if k + full + (rest > 0) <= max_rows:
+            product = math.prod([row(i, length) for i in range(k, k + full)])
+            if rest:
+                product *= row(k + full, rest)
+        if len(tails) == TAIL_CACHE_SIZE:
+            tails.clear()
+        tails[k, remaining, length] = product
+        return product
 
-    def extend(prefix_product: int, vandermonde: int, remaining: int, longest: int) -> None:
-        nonlocal gap, strict, ties
-        k = len(shifted)
-        top = min(longest, remaining)
-        for length in range(top, 0, -1):
-            full, rest = divmod(remaining, length)
-            if k + full + (rest > 0) > max_rows:
-                break
-            product = prefix_product * row(k, length)
-            # below a kept prefix, the longest choice completes to the
-            # completion that kept the prefix
-            if length < top or k == 0:
-                completion = product
-                for i in range(k + 1, k + full):
-                    completion *= row(i, length)
-                if rest:
-                    completion *= row(k + full, rest)
-                if sign * (completion - nfact) < 0:
-                    break
-            vandermonde_k = vandermonde * math.prod(map((k - length).__add__, shifted))
-            shifted.append(length - k)
-            if length == remaining:
-                if product == nfact:
+    firsts = []  # the first rows whose completion passes, longest first
+    for length in range(top, 0, -1):
+        if sign * tail(0, n, length) < bound:
+            break
+        firsts.append(length)
+
+    if shares is None:
+        shares = _usable_cpus() if n >= SPLIT_FROM_N else 1
+    if not hasattr(os, "fork"):
+        shares = 1
+    shares = max(1, min(shares, len(firsts)))
+
+    def share(j: int) -> tuple[int, int, int, int, int]:
+        gap = strict = ties = kept = pruned = 0
+        # shifted[i] = (length of row i) - i.  Adding row k of length l to a
+        # prefix with hook product H gives the hook product
+        # H * l! * prod_i (shifted[i] + k) / prod_i (shifted[i] + k - l),
+        # by the hook-length formula in Frobenius form.
+        shifted: list[int] = []
+
+        def extend(prefix: int, hooks: int, remaining: int, lengths: Iterable[int], tested_below: int) -> None:
+            # try each row length in `lengths` (decreasing) as row k; only
+            # lengths below `tested_below` need the completion test
+            nonlocal gap, strict, ties, kept, pruned
+            k = len(shifted)
+            row_k = rows[k] or row_table(k)
+            signed = sign * prefix
+            grown = hooks * math.prod(map(k.__add__, shifted))  # the same for every length
+            for length in lengths:
+                if length < tested_below and signed * (
+                    tails.get((k, remaining, length)) or tail(k, remaining, length)
+                ) < bound:
+                    pruned += 1
+                    return
+                kept += 1
+                h = grown * factorials[length] // math.prod(map((k - length).__add__, shifted))
+                product = prefix * (row_k[length] or row(k, length))
+                if length < remaining:
+                    # the longest next row completes to the completion that
+                    # kept this prefix, so it needs no test
+                    first = min(length, remaining - length)
+                    shifted.append(length - k)
+                    extend(product, h, remaining - length, range(first, 0, -1), first)
+                    shifted.pop()
+                elif product == nfact:
                     ties += 1
                 else:
-                    hooks = math.prod(map(math.factorial, map(k.__add__, shifted))) // vandermonde_k
                     strict += 1
-                    gap += sign * (product - nfact) // hooks * (nfact // hooks)
-            else:
-                extend(product, vandermonde_k, remaining - length, length)
-            shifted.pop()
+                    gap += (product - nfact) // h * (nfact // h)
 
-    extend(1, 1, n, min(d, n) if above else n)
-    return gap, strict, ties
+        extend(1, 1, n, firsts[j::shares], 0)
+        gap *= sign
+        if above:
+            gap += _zero_mult_mass(n, d, j, shares)
+        return gap, strict, ties, kept, pruned
+
+    try:
+        gap, strict, ties, kept, pruned = _sum_over_shares(share, shares)
+    finally:
+        # the recursive closures form a reference cycle, which would keep the
+        # tables until the next garbage collection
+        rows.clear()
+        tails.clear()
+    pruned += len(firsts) < top
+    counts = {"visited": kept + pruned, "kept": kept, "pruned": pruned, "leaves": strict + ties}
+    return gap, strict, ties, counts
 
 
-def _zero_mult_mass(n: int, d: int) -> int:
-    """Sum of D^2 over the diagrams with more than d rows.
+def _zero_mult_mass(n: int, d: int, share: int, shares: int) -> int:
+    """Sum of D^2 over every shares-th diagram with more than d rows, from the
+    share-th on.
 
     D is invariant under conjugation, so these are summed over the diagrams
     whose first row is longer than d, which reverse-lexicographic order
@@ -187,11 +263,98 @@ def _zero_mult_mass(n: int, d: int) -> int:
     """
     nfact = math.factorial(n)
     mass = 0
-    for rows in _partitions_revlex(n):
+    for index, rows in enumerate(_partitions_revlex(n)):
         if rows[0] <= d:
             break
-        mass += (nfact // _hook_product(rows)) ** 2
+        if index % shares == share:
+            mass += (nfact // _hook_product(rows)) ** 2
     return mass
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sum_over_shares(work: Callable[[int], tuple[int, ...]], shares: int) -> tuple[int, ...]:
+    """work(j) for j = 0, ..., shares - 1, summed entry by entry.
+
+    Share 0 runs in this process; each other share runs in a child made with
+    ``os.fork``, which sends its integers back over a pipe and leaves through
+    ``os._exit``, so it never flushes this process's buffers or runs its exit
+    hooks.  A child runs only integer arithmetic, so no lock held by another
+    thread of this process (numpy's BLAS pool, say) can block it.  A child
+    that fails, or sends nothing readable, raises InternalInvariantError here.
+    However this call ends, no child outlives it.
+    """
+    if shares == 1:
+        return work(0)
+    pending: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for j in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    _send_totals(write_fd, work(j))
+                    os.close(write_fd)
+                    status = 0
+                except Exception as exc:
+                    os.write(2, f"share {j} of the exact search failed: {exc!r}\n".encode())
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pending[pid] = read_fd
+        totals = list(work(0))
+        for pid, read_fd in list(pending.items()):
+            part = _receive_totals(read_fd, len(totals))
+            _, status = os.waitpid(pid, 0)
+            del pending[pid]
+            os.close(read_fd)
+            if status:
+                raise InternalInvariantError(f"exact search child {pid} ended with wait status {status}")
+            totals = [a + b for a, b in zip(totals, part)]
+        return tuple(totals)
+    finally:
+        if pending:
+            from signal import SIGKILL
+
+            for pid, read_fd in pending.items():
+                os.close(read_fd)
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _send_totals(fd: int, totals: tuple[int, ...]) -> None:
+    """Write a tuple of integers to ``fd`` as marshal bytes.  Never through
+    str(): Python refuses to print an integer of more than 4300 digits."""
+    data = memoryview(marshal.dumps(tuple(totals)))
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _receive_totals(fd: int, count: int) -> tuple[int, ...]:
+    """Read ``fd`` to its end and decode the ``count`` integers sent by ``_send_totals``."""
+    chunks = []
+    while chunk := os.read(fd, 4096):
+        chunks.append(chunk)
+    try:
+        totals = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        totals = None
+    if type(totals) is not tuple or len(totals) != count or any(type(t) is not int for t in totals):
+        raise InternalInvariantError(f"an exact search share sent no {count} integers")
+    return totals
 
 
 def balanced_color_classes(n: int, d: int) -> list[int]:

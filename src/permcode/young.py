@@ -60,12 +60,13 @@ class YoungDiagram:
 
 
 def _conjugate(rows: Sequence[int]) -> tuple[int, ...]:
-    if not rows:
-        return ()
-    cols = [0] * rows[0]
-    for r in rows:
-        for j in range(r):
-            cols[j] += 1
+    """Column lengths, in O(rows + columns): column j holds the rows longer than j."""
+    cols = []
+    height = len(rows)
+    for j in range(rows[0] if rows else 0):
+        while rows[height - 1] <= j:
+            height -= 1
+        cols.append(height)
     return tuple(cols)
 
 

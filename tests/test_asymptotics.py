@@ -113,6 +113,20 @@ def test_rule_of_three_bar_without_informative_draws():
         assert one.stderr == 0.0 and one.informative == 0
 
 
+def test_one_draw_bar_is_the_weight_bound():
+    # one draw shows no spread: the bar is 0 only where q has a single shape
+    for n in range(1, 12):
+        for d in range(1, n + 2):
+            for seed in range(4):
+                for fn in (pmax_estimate_plancherel, pmax_estimate_schur_weyl):
+                    one = fn(n, d, 1, seed)
+                    single = n == 1 or (fn is pmax_estimate_schur_weyl and d == 1)
+                    assert (one.stderr == 0.0) == single, (fn.__name__, n, d, seed)
+    # a single weight far below the float range still gets a bar, on its scale
+    one = pmax_estimate_plancherel(2000, 200, 1, seed=0)
+    assert one.ratio < one.ratio_stderr < math.inf and one.log_scale < -2000
+
+
 def test_estimators_deterministic():
     a = pmax_estimate_plancherel(12, 5, 500, seed=3)
     b = pmax_estimate_plancherel(12, 5, 500, seed=3)

@@ -36,6 +36,13 @@ def test_schur_weyl_weights_below_float_range(capsys):
     assert float(line.split()[2]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_one_draw_reports_the_weight_bound(capsys):
+    code, out, _ = run_cli(capsys, ["pmax", "--n", "10", "--d", "4", "--method", "plancherel", "--samples", "1"])
+    assert code == 0
+    assert "p_quantum = 0.13405532073 +/- 1.0101010101 (plancherel-mc)" in out
+    assert "(one draw, weight-bound error bar)" in out
+
+
 def test_pmax_table_n4_d2(capsys):
     code, out, _ = run_cli(capsys, ["pmax", "--n", "4", "--d", "2"])
     assert code == 0

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permcode import coding
+from permcode.cli import main
 from permcode.coding import (
     CodingInstance,
+    _gap_side,
+    _receive_totals,
+    _send_totals,
+    _sum_over_shares,
     balanced_color_classes,
     classical_success,
     info_bound,
@@ -15,6 +23,7 @@ from permcode.coding import (
 )
 from permcode.young import (
     CapacityError,
+    InternalInvariantError,
     _content_product,
     dim_irrep,
     enumerate_partitions,
@@ -221,3 +230,105 @@ def mid_size_instances(draw):
 def test_pmax_exact_matches_full_enumeration_n23_to_40(instance):
     rep = quantum_pmax_exact(CodingInstance(*instance))
     assert (rep.dim_w, rep.min_side_counts) == full_enumeration(*instance)
+
+
+# ------------------------------------------- the search split over processes
+
+def test_split_search_equals_serial_search():
+    # both sides of m = D up to N = 14, then the side quantum_pmax_exact
+    # searches: the other side keeps nearly every diagram at N = 30
+    for n in range(1, 31):
+        for d in range(1, n + 2):
+            sides = (False, True) if n <= 14 else (CodingInstance(n, d).above_critical,)
+            for above in sides:
+                serial = _gap_side(n, d, above, 1)
+                for shares in (2, 3):
+                    assert _gap_side(n, d, above, shares) == serial, (n, d, above, shares)
+
+
+@pytest.mark.parametrize("n, d", [(50, 18), (50, 25)])
+def test_split_search_equals_serial_search_n50(n, d):
+    above = CodingInstance(n, d).above_critical
+    serial = _gap_side(n, d, above, 1)
+    assert _gap_side(n, d, above, 2) == _gap_side(n, d, above, 3) == serial
+
+
+def test_search_counts():
+    # the diagrams kept at N = 50 that README.md quotes
+    for d, leaves in ((10, 382), (18, 43_200)):
+        rep = quantum_pmax_exact(CodingInstance(50, d))
+        counts = rep.search_counts
+        assert counts["leaves"] == leaves == rep.min_side_counts["dim_wins"] + rep.min_side_counts["ties"]
+        assert counts["visited"] == counts["kept"] + counts["pruned"]
+        assert counts["leaves"] < counts["kept"]
+
+
+def test_totals_cross_the_pipe_as_marshal_bytes():
+    big = 10**4999 + 12_345  # 5000 digits: str() refuses it
+    with pytest.raises(ValueError):
+        str(big)
+    for totals in ((big, -big, 0, 7), ()):
+        read_fd, write_fd = os.pipe()
+        try:
+            _send_totals(write_fd, totals)
+            os.close(write_fd)
+            write_fd = -1
+            assert _receive_totals(read_fd, len(totals)) == totals
+        finally:
+            os.close(read_fd)
+            if write_fd >= 0:
+                os.close(write_fd)
+
+
+@pytest.mark.parametrize("sent", [b"", b"\x00garbage", None])
+def test_unreadable_totals_raise(sent):
+    read_fd, write_fd = os.pipe()
+    try:
+        if sent is None:
+            _send_totals(write_fd, (1, 2))  # two integers where three are expected
+        else:
+            os.write(write_fd, sent)
+        os.close(write_fd)
+        with pytest.raises(InternalInvariantError):
+            _receive_totals(read_fd, 3)
+    finally:
+        os.close(read_fd)
+
+
+@pytest.mark.parametrize("failure", ["dies", "sends nothing"])
+def test_failed_child_exits_2_and_is_reaped(monkeypatch, capsys, failure):
+    # the child runs the patched module state it was forked with
+    if failure == "dies":
+        monkeypatch.setattr(coding, "_send_totals", lambda fd, totals: os._exit(3))
+    else:
+        monkeypatch.setattr(coding, "_send_totals", lambda fd, totals: None)
+    monkeypatch.setattr(coding, "_usable_cpus", lambda: 2)
+    assert main(["pmax", "--method", "exact", "--n", "40", "--d", "15"]) == 2
+    assert "exact search" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_parent_share_kills_and_reaps_children(error):
+    def work(j):
+        if j == 0:
+            raise error("share 0 failed")
+        time.sleep(60)  # a child; only the parent's kill ends it early
+        return (j,)
+
+    started = time.monotonic()
+    with pytest.raises(error):
+        _sum_over_shares(work, 3)
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_share_runs_in_process(monkeypatch):
+    expected = quantum_pmax_exact(CodingInstance(40, 15))
+    monkeypatch.setattr(coding, "_usable_cpus", lambda: 1)
+    assert quantum_pmax_exact(CodingInstance(40, 15)) == expected
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert quantum_pmax_exact(CodingInstance(40, 15)) == expected
