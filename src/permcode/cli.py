@@ -45,7 +45,7 @@ from .qsim import (
     symmetrize_elements,
     symmetrize_povm,
 )
-from .young import CapacityError, DEFAULT_ENUMERATION_CAP, InternalInvariantError
+from .young import CapacityError, DEFAULT_ENUMERATION_CAP, InternalInvariantError, check_enumerable
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -123,8 +123,11 @@ def _emit(args: argparse.Namespace, meta: dict, rows: list[dict], text_lines: li
             out.write(line + "\n")
     payload = out.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -394,6 +397,7 @@ def cmd_bounds(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
     if args.kerov_n < 1:
         raise ValueError(f"--kerov-n must be >= 1, got {args.kerov_n}")
+    check_enumerable(args.kerov_n, cap)  # before checking every n below it
     reports = []
     for n in range(1, args.kerov_n + 1):
         reports.append(kerov_bound_check(n, cap=cap))

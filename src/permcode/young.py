@@ -95,6 +95,13 @@ def enumerate_partitions(n: int, cap: int | None = None) -> Iterator[YoungDiagra
     [n] comes first and [1, ..., 1] last.  Streaming: partitions are produced
     one at a time.
     """
+    check_enumerable(n, cap)
+    for rows in _partitions_revlex(n):
+        yield YoungDiagram(rows)
+
+
+def check_enumerable(n: int, cap: int | None = None) -> None:
+    """Raise CapacityError unless ``enumerate_partitions(n, cap)`` may run."""
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if n < 1:
         raise CapacityError(f"enumeration requires n >= 1, got {n}")
@@ -102,8 +109,6 @@ def enumerate_partitions(n: int, cap: int | None = None) -> Iterator[YoungDiagra
         raise CapacityError(
             f"n={n} exceeds the enumeration cap {cap}; use the sampling paths instead"
         )
-    for rows in _partitions_revlex(n):
-        yield YoungDiagram(rows)
 
 
 def _partitions_revlex(n: int) -> Iterator[tuple[int, ...]]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permcode import cli
 from permcode.asymptotics import McEstimate
 from permcode.cli import _int_str, dec_str, main, sweep
 from permcode.coding import info_bound
@@ -425,6 +426,24 @@ def test_bounds_rejects_nan_constant(capsys):
     # every comparison with nan is false, so it would report no violation
     code, out, _ = run_cli(capsys, ["bounds", "--kerov-n", "5", "--kerov-row-n", "5", "--c", "nan"])
     assert code == 1 and out == ""
+
+
+def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch):
+    # the column-tail check of every n up to the cap would take minutes first
+    def unreachable(*args, **kwargs):
+        pytest.fail("kerov_bound_check ran before the cap check")
+
+    monkeypatch.setattr(cli, "kerov_bound_check", unreachable)
+    code, out, err = run_cli(capsys, ["bounds", "--kerov-n", "67"])
+    assert code == 1 and out == ""
+    assert err == "error: n=67 exceeds the enumeration cap 66; use the sampling paths instead\n"
+
+
+def test_output_to_unwritable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, ["pmax", "--n", "5", "--d", "2", "--output", str(target)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write --output: ") and str(target) in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -254,11 +254,16 @@ def test_split_search_equals_serial_search_n50(n, d):
 
 
 def test_search_counts():
-    # the diagrams kept at N = 50 that README.md quotes
-    for d, leaves in ((10, 382), (18, 43_200)):
+    # the diagrams kept at N = 50 that README.md quotes, and above the
+    # critical ratio the kept side with the diagrams of m = 0 among its leaves
+    for d, leaves, sides in (
+        (10, 382, ("dim_wins", "ties")),
+        (18, 43_200, ("dim_wins", "ties")),
+        (25, 22_251, ("mult_wins", "ties", "zero_mult")),
+    ):
         rep = quantum_pmax_exact(CodingInstance(50, d))
         counts = rep.search_counts
-        assert counts["leaves"] == leaves == rep.min_side_counts["dim_wins"] + rep.min_side_counts["ties"]
+        assert counts["leaves"] == leaves == sum(rep.min_side_counts[side] for side in sides)
         assert counts["visited"] == counts["kept"] + counts["pruned"]
         assert counts["leaves"] < counts["kept"]
 
