@@ -34,7 +34,6 @@ from .asymptotics import (
 )
 from .coding import CodingInstance, CodingReport, classical_success, info_bound, quantum_pmax_exact
 from .qsim import (
-    InternalQsimError,
     all_perms,
     build_gamma,
     build_n3_example,
@@ -45,7 +44,7 @@ from .qsim import (
     symmetrize_elements,
     symmetrize_povm,
 )
-from .young import CapacityError, DEFAULT_ENUMERATION_CAP, InternalInvariantError, check_enumerable
+from .young import DEFAULT_ENUMERATION_CAP, InternalInvariantError, check_enumerable
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -185,6 +184,10 @@ def sweep(
     """For each N in n_list, the instance with d = max(1, floor(ratio * N))
     and its P_max by the "auto" rule of ``pmax``.  The i-th row's estimator
     reads the stream seed + i."""
+    if not n_list:
+        raise ValueError("n_list must name at least one N")
+    if ratio <= 0:
+        raise ValueError(f"ratio must be positive, got {ratio}")
     rows = []
     for i, n in enumerate(n_list):
         if n < 1:
@@ -289,14 +292,13 @@ def cmd_sample(args: argparse.Namespace) -> None:
 
 
 def _verify_n3_checks() -> list[tuple[str, float, float]]:
-    signal, povm = build_n3_example()
-    psi = signal.amplitudes
+    psi, povm = build_n3_example()
     overlap_resid = max(
-        abs(abs(psi.conj() @ build_gamma(p, 3, 2).matrix @ psi) - 0.2)
+        abs(abs(psi.conj() @ np.eye(8)[build_gamma(p, 3, 2)] @ psi) - 0.2)
         for p in all_perms(3) if p != (0, 1, 2)
     )
     total = sum(povm.elements().values()) + povm.completion
-    p_povm = success_probability(signal, povm)
+    p_povm = success_probability(psi, povm)
     orth = orthogonality_check_n3()
     relations = (orth["cross_irrep_residual"], orth["same_irrep_residual"], orth["alignment_residual"])
     # D/n! of the two-dimensional irrep of S_3
@@ -305,7 +307,7 @@ def _verify_n3_checks() -> list[tuple[str, float, float]]:
         ("overlap-one-fifth", overlap_resid, 1e-12),
         ("povm-completeness", np.abs(total - np.eye(8)).max(), 1e-10),
         ("success-five-sixths", abs(p_povm - 5 / 6), 1e-10),
-        ("pgm-matches-povm", abs(pgm_success(signal, 3, 2) - p_povm), 1e-8),
+        ("pgm-matches-povm", abs(pgm_success(psi, 3, 2) - p_povm), 1e-8),
         ("orthogonality-relations", max(relations), 1e-12),
         ("phi-copy-projections", copies, 1e-12),
     ]
@@ -316,9 +318,8 @@ def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
     n, d = 3, 2
     dim = d**n
     perms = all_perms(n)
-    gammas = {p: build_gamma(p, n, d).matrix for p in perms}
-    signal, _ = build_n3_example()
-    psi = signal.amplitudes
+    gammas = {p: np.eye(dim)[build_gamma(p, n, d)] for p in perms}
+    psi, _ = build_n3_example()
     max_cov = 0.0
     max_success_shift = 0.0
     for _ in range(SYMMETRIZE_POVMS):
@@ -342,7 +343,7 @@ def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
             np.real((g @ psi).conj() @ raw[p] @ (g @ psi)) for p, g in gammas.items()
         ) / len(perms)
         max_success_shift = max(
-            max_success_shift, abs(success_probability(signal, cov) - raw_success)
+            max_success_shift, abs(success_probability(psi, cov) - raw_success)
         )
     return [
         ("symmetrized-covariance", max_cov, 1e-12),
@@ -390,7 +391,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
         args.format = "json"  # verification reports are JSON by default
     _emit(args, _meta(args, cap, {"suite": args.suite}), checks, lines)
     if not all(c["pass"] for c in checks):
-        raise InternalQsimError("verification suite reported failures")
+        raise InternalInvariantError("verification suite reported failures")
 
 
 def cmd_bounds(args: argparse.Namespace) -> None:
@@ -494,10 +495,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    except (CapacityError, ValueError) as exc:
+    except ValueError as exc:  # CapacityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (InternalInvariantError, InternalQsimError, AssertionError) as exc:
+    except AssertionError as exc:  # InternalInvariantError included
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

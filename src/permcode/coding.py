@@ -12,13 +12,12 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .young import (
-    CapacityError,
-    DEFAULT_ENUMERATION_CAP,
     InternalInvariantError,
     _content_product,
     # unused here: the benchmark's tracer wraps these two bindings of coding
     _hook_product,
     _partitions_revlex,
+    check_enumerable,
     partition_count,
     partition_count_at_most,
 )
@@ -87,12 +86,7 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> Codi
     not visited follow exactly from p(N) and p(N, <= d parts).
     """
     n, d = instance.n_boxes, instance.n_colors
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if n > cap:
-        raise CapacityError(
-            f"N={n} exceeds the enumeration cap {cap}; "
-            "use the Monte Carlo estimators in permcode.asymptotics"
-        )
+    check_enumerable(n, cap)
     nfact = math.factorial(n)
     above = instance.above_critical
     gap, strict, ties, search_counts = _gap_side(n, d, above)

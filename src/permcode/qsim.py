@@ -4,9 +4,10 @@ POVM symmetrization, pretty-good-measurement success probabilities and orbit
 ranks from the frame operator, matrix orthogonality relations, and a
 classical-channel Monte Carlo.
 
-A permutation operator Gamma(sigma) is held as an index permutation of the
-d^N basis states, never as a dense matrix: Gamma x = x[idx] and
-Gamma M Gamma^dagger = M[idx, idx].  One orbit core, ``_orbit``, gives both
+A state is a plain vector of d^N amplitudes, and a permutation operator
+Gamma(sigma) the index array idx that permutes the d^N basis states:
+Gamma x = x[idx] and Gamma M Gamma^dagger = M[idx, idx].  The dense matrix,
+np.eye(d^N)[idx], is never built here.  One orbit core, ``_orbit``, gives both
 sides of the optimum from a generic state psi: the rank of its orbit bounds
 every signal (``orbit_rank``), and the tight frame S^(-1/2) psi reaches that
 bound (``build_optimal_signal``).  It reads no character, hook or content.
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import balanced_color_classes
-from .young import CapacityError
+from .young import CapacityError, InternalInvariantError
 
 DIMENSION_CAP = 4096  # largest d**n for dense operators
 ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbit
@@ -47,46 +48,6 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def _basis_digits(n: int, d: int) -> np.ndarray:
-    """Digits of every basis state of (C^d)^(tensor n), shape (d^n, n); box 0
-    is the most significant digit."""
-    place = d ** np.arange(n - 1, -1, -1)
-    return (np.arange(d**n)[:, None] // place) % d
-
-
-@dataclass(frozen=True)
-class PermutationOperator:
-    """Gamma(perm) on (C^d)^(tensor n), held as the index permutation ``index``
-    of the basis states: (Gamma x)[k] = x[index[k]]."""
-
-    perm: Perm
-    n: int
-    d: int
-    index: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense d^n x d^n unitary, built on demand from the digits of the
-        basis states (not from ``index``): the digit of box i moves to box perm(i)."""
-        digits = _basis_digits(self.n, self.d)
-        moved = np.empty_like(digits)
-        moved[:, list(self.perm)] = digits
-        place = self.d ** np.arange(self.n - 1, -1, -1)
-        dim = self.d**self.n
-        mat = np.zeros((dim, dim))
-        mat[moved @ place, np.arange(dim)] = 1.0
-        return mat
-
-
-@dataclass
-class SignalState:
-    """A (sub)normalized vector on the d^n-dimensional tensor space."""
-
-    amplitudes: np.ndarray
-    n: int
-    d: int
-
-
 @dataclass
 class CovariantPovm:
     """POVM generated from a seed operator by conjugation with all Gamma(sigma),
@@ -98,7 +59,7 @@ class CovariantPovm:
     d: int
 
     def element(self, perm: Perm) -> np.ndarray:
-        idx = build_gamma(perm, self.n, self.d).index
+        idx = build_gamma(perm, self.n, self.d)
         return self.seed_operator[np.ix_(idx, idx)]
 
     def elements(self) -> dict[Perm, np.ndarray]:
@@ -121,20 +82,18 @@ def _gamma_index(perm: Perm, n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def build_gamma(perm: Perm, n: int, d: int) -> PermutationOperator:
-    """The unitary permuting the n tensor factors: the state of box i moves to
-    box perm(i), so Gamma(p)Gamma(q) = Gamma(p o q).
-
-    The operator is held as an index permutation (d^n integers); ``.matrix``
-    builds the dense matrix only when asked.  ``d^n`` is capped at
-    ``DIMENSION_CAP``.
+def build_gamma(perm: Perm, n: int, d: int) -> np.ndarray:
+    """The unitary permuting the n tensor factors, as the read-only index
+    array idx with (Gamma x)[k] = x[idx[k]]: the state of box i moves to box
+    perm(i), so Gamma(p)Gamma(q) = Gamma(p o q).  The dense matrix is
+    ``np.eye(d**n)[idx]``.  ``d^n`` is capped at ``DIMENSION_CAP``.
     """
     _dense_dim(n, d)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
     idx = _gamma_index(perm, n, d)
     idx.flags.writeable = False  # shared through the cache
-    return PermutationOperator(perm=perm, n=n, d=d, index=idx)
+    return idx
 
 
 def _gamma_indices(n: int, d: int) -> np.ndarray:
@@ -149,8 +108,10 @@ def _gamma_indices(n: int, d: int) -> np.ndarray:
 
 
 def _color_counts(n: int, d: int) -> np.ndarray:
-    """How often each color occurs in every basis state (its weight), shape (d^n, d)."""
-    return (_basis_digits(n, d)[:, :, None] == np.arange(d)).sum(axis=1)
+    """How often each color occurs in every basis state (its weight), shape
+    (d^n, d), from the state's n base-d digits, one per box."""
+    digits = (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+    return (digits[:, :, None] == np.arange(d)).sum(axis=1)
 
 
 def _ket(bits: str) -> np.ndarray:
@@ -185,16 +146,15 @@ def n3_irrep_basis() -> dict[str, np.ndarray]:
     return basis
 
 
-def build_n3_example() -> tuple[SignalState, CovariantPovm]:
-    """The three-box, two-color example: signal state with equal overlap 1/5
-    under every non-identity permutation, and the covariant POVM built from it."""
+def build_n3_example() -> tuple[np.ndarray, CovariantPovm]:
+    """The three-box, two-color example: signal state psi with equal overlap
+    1/5 under every non-identity permutation, and the covariant POVM built from it."""
     b = n3_irrep_basis()
     psi = np.sqrt(1 / 5) * b["sym0"] + np.sqrt(2 / 5) * b["1,1"] + np.sqrt(2 / 5) * b["2,2"]
-    signal = SignalState(amplitudes=psi, n=3, d=2)
     # dim W = 5: one symmetric copy plus both two-dimensional copies
     seed = (5 / 6) * np.outer(psi, psi.conj())
     povm = _complete_covariant(seed, n=3, d=2)
-    return signal, povm
+    return psi, povm
 
 
 def _complete_covariant(seed: np.ndarray, n: int, d: int) -> CovariantPovm:
@@ -203,17 +163,13 @@ def _complete_covariant(seed: np.ndarray, n: int, d: int) -> CovariantPovm:
     # completion must be a PSD projector-like remainder; validate completeness
     evals = np.linalg.eigvalsh((completion + completion.conj().T) / 2)
     if evals.min() < -COMPLETENESS_TOL:
-        raise InternalQsimError(
+        raise InternalInvariantError(
             f"covariant completion not PSD: min eigenvalue {evals.min():.3e}"
         )
     resid = np.abs(total + completion - np.eye(d**n)).max()
     if resid > COMPLETENESS_TOL:
-        raise InternalQsimError(f"completeness residual {resid:.3e}")
+        raise InternalInvariantError(f"completeness residual {resid:.3e}")
     return CovariantPovm(seed_operator=seed, completion=completion, n=n, d=d)
-
-
-class InternalQsimError(AssertionError):
-    """A constructed object violated a constraint that signals a convention bug."""
 
 
 def symmetrize_elements(
@@ -224,7 +180,7 @@ def symmetrize_elements(
     perms = all_perms(n)
     nfact = math.factorial(n)
     # Gamma(s)^dagger = Gamma(s^-1)
-    inverse = {s: build_gamma(invert(s), n, d).index for s in perms}
+    inverse = {s: build_gamma(invert(s), n, d) for s in perms}
     out = {}
     for t in perms:
         acc = np.zeros_like(next(iter(raw_elements.values())), dtype=complex)
@@ -253,25 +209,26 @@ def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> Cov
     nfact = math.factorial(n)
     seed = np.zeros((dim, dim), dtype=complex)
     for p in perms:
-        inv = build_gamma(invert(p), n, d).index
+        inv = build_gamma(invert(p), n, d)
         seed += raw_elements[p][np.ix_(inv, inv)]
     seed /= nfact
     return _complete_covariant(seed, n, d)
 
 
-def success_probability(signal: SignalState, povm: CovariantPovm) -> float:
+def success_probability(psi: np.ndarray, povm: CovariantPovm) -> float:
     """Average probability of identifying a uniformly random permutation:
-    (1/n!) sum over sigma of <psi| Gamma(sigma)^dagger E_sigma Gamma(sigma) |psi>."""
-    if signal.n != povm.n or signal.d != povm.d:
-        raise ValueError("signal and POVM dimensions do not match")
-    psi = signal.amplitudes
+    (1/n!) sum over sigma of <psi| Gamma(sigma)^dagger E_sigma Gamma(sigma) |psi>.
+    ``psi`` must have the d^n amplitudes of the POVM's space."""
+    n, d = povm.n, povm.d
+    if psi.shape != (d**n,):
+        raise ValueError(f"psi has shape {psi.shape}, not ({d**n},) for n={n}, d={d}")
     total = 0.0 + 0.0j
-    for p in all_perms(signal.n):
-        gpsi = psi[build_gamma(p, signal.n, signal.d).index]
+    for p in all_perms(n):
+        gpsi = psi[build_gamma(p, n, d)]
         total += gpsi.conj() @ povm.element(p) @ gpsi
-    total /= math.factorial(signal.n)
+    total /= math.factorial(n)
     if abs(total.imag) > 1e-12:
-        raise InternalQsimError(f"success probability has imaginary part {total.imag:.3e}")
+        raise InternalInvariantError(f"success probability has imaginary part {total.imag:.3e}")
     return float(total.real)
 
 
@@ -301,11 +258,11 @@ def _orbit(
     mat = conj @ frame.T if gram_side else frame.T @ conj
     herm_resid = np.abs(mat - mat.conj().T).max()
     if herm_resid > 1e-10:
-        raise InternalQsimError(f"frame operator not Hermitian: residual {herm_resid:.3e}")
+        raise InternalInvariantError(f"frame operator not Hermitian: residual {herm_resid:.3e}")
     mat = (mat + mat.conj().T) / 2
     evals, evecs = np.linalg.eigh(mat) if root else (np.linalg.eigvalsh(mat), None)
     if evals.min() < -1e-10:
-        raise InternalQsimError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
+        raise InternalInvariantError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
     kept = evals > np.abs(evals).max() * len(evals) * np.finfo(evals.dtype).eps
     if not root:
         return evals, kept, None
@@ -327,7 +284,7 @@ def _generic_state(n: int, d: int, seed: int, sector: tuple[int, ...] | None = N
     return psi / np.linalg.norm(psi)  # a unit psi keeps tr S = n!
 
 
-def pgm_success(signal: SignalState, n: int, d: int) -> float:
+def pgm_success(psi: np.ndarray, n: int, d: int) -> float:
     """Pretty-good-measurement success probability on the equal-prior ensemble
     {Gamma(sigma)|psi>}: |<psi|S^(-1/2)|psi>|^2, with S the frame operator
     sum_sigma Gamma(sigma)|psi><psi|Gamma(sigma)^dagger taken on its support,
@@ -338,8 +295,11 @@ def pgm_success(signal: SignalState, n: int, d: int) -> float:
     the orbit's Gram matrix, <psi|S^(-1/2)|psi> = (G^(1/2))_00, and
     G_(sigma,tau) = <psi|Gamma(sigma^-1 tau)|psi> commutes with the regular
     representation, so every diagonal entry of G^(1/2) is tr G^(1/2) / n!.
+    ``psi`` must have d^n amplitudes.
     """
-    evals, kept, _ = _orbit(signal.amplitudes, n, d)
+    if psi.shape != (d**n,):
+        raise ValueError(f"psi has shape {psi.shape}, not ({d**n},) for n={n}, d={d}")
+    evals, kept, _ = _orbit(psi, n, d)
     return float((np.sqrt(evals[kept]).sum() / math.factorial(n)) ** 2)
 
 
@@ -364,7 +324,7 @@ def orbit_rank(
     return int(kept.sum()), float(gap)
 
 
-def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
+def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> np.ndarray:
     """A signal state whose pretty-good measurement succeeds with probability
     rank / n!, the optimum: the canonical tight frame S^(-1/2) psi, normalised,
     of the same generic psi whose rank ``orbit_rank`` counts.  Its orbit spans
@@ -372,7 +332,7 @@ def build_optimal_signal(n: int, d: int, rng_seed: int = 7) -> SignalState:
     projector onto it (Eldar & Forney 2001).
     """
     _, _, root_psi = _orbit(_generic_state(n, d, rng_seed), n, d, root=True)
-    return SignalState(amplitudes=root_psi / np.linalg.norm(root_psi), n=n, d=d)
+    return root_psi / np.linalg.norm(root_psi)
 
 
 def orthogonality_check_n3() -> dict:
@@ -394,7 +354,7 @@ def orthogonality_check_n3() -> dict:
     for key, names in copies.items():
         block = np.stack([basis[nm] for nm in names]).T  # columns
         mats[key] = {
-            p: block.conj().T @ block[build_gamma(p, 3, 2).index] for p in perms
+            p: block.conj().T @ block[build_gamma(p, 3, 2)] for p in perms
         }
     cross_resid = 0.0
     same_resid = 0.0
@@ -418,8 +378,8 @@ def orthogonality_check_n3() -> dict:
         aligned_resid = max(
             aligned_resid, np.abs(mats[("std", 0)][p] - mats[("std", 1)][p]).max()
         )
-    signal, _ = build_n3_example()
-    phi = math.sqrt(5 / 6) * signal.amplitudes
+    psi, _ = build_n3_example()
+    phi = math.sqrt(5 / 6) * psi
     proj_norms = {}
     for b_idx in (0, 1):
         block = np.stack([basis[nm] for nm in copies[("std", b_idx)]]).T

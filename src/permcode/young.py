@@ -23,7 +23,8 @@ class CapacityError(ValueError):
 
 
 class InternalInvariantError(AssertionError):
-    """A combinatorial identity that must hold exactly failed to hold."""
+    """An identity that must hold failed to hold: a combinatorial identity
+    here, or a convention of the dense checks in ``qsim``."""
 
 
 @dataclass(frozen=True)

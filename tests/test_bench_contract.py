@@ -55,3 +55,15 @@ def test_wrapped_bindings_are_called(monkeypatch, capsys):
     capsys.readouterr()
     for name in ("coding.quantum_pmax_exact", "asymptotics.pmax_estimate_plancherel"):
         assert spans_per_name[name] >= 1, name
+
+
+def test_dense_jobs_pass(monkeypatch, capsys):
+    """Every job of the ``dense`` workload passes its own checks: the signal
+    jobs hand what ``build_optimal_signal`` returns straight to ``pgm_success``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for seed in (1, 7):
+        for job in workloads.build_jobs("dense", seed):
+            for name, passed, detail in job.check(job.run()):
+                assert passed, f"{name}: {detail}"

@@ -324,6 +324,16 @@ def test_sweep_rejects_bad_n():
         sweep(0.5, [0])
 
 
+def test_sweep_rejects_non_positive_ratio(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--r", "-1", "--n-list", "10"])
+    assert code == 1 and out == "" and "ratio must be positive" in err
+
+
+def test_sweep_rejects_empty_n_list(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--r", "0.5", "--n-list", ",,"])
+    assert code == 1 and out == "" and "at least one N" in err
+
+
 def test_sweep_csv_schema(capsys):
     code, out, _ = run_cli(
         capsys, ["sweep", "--r", "0.5", "--n-list", "4,6,8", "--format", "csv"]
@@ -435,6 +445,13 @@ def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "kerov_bound_check", unreachable)
     code, out, err = run_cli(capsys, ["bounds", "--kerov-n", "67"])
+    assert code == 1 and out == ""
+    assert err == "error: n=67 exceeds the enumeration cap 66; use the sampling paths instead\n"
+
+
+def test_pmax_exact_above_cap_message(capsys):
+    # quantum_pmax_exact refuses through the same check as the enumeration
+    code, out, err = run_cli(capsys, ["pmax", "--method", "exact", "--n", "67", "--d", "20"])
     assert code == 1 and out == ""
     assert err == "error: n=67 exceeds the enumeration cap 66; use the sampling paths instead\n"
 

@@ -72,7 +72,7 @@ def test_pmax_matches_tableau_oracle_small_grid():
 
 
 def test_pmax_capacity_error():
-    with pytest.raises(CapacityError, match="Monte Carlo"):
+    with pytest.raises(CapacityError, match="n=70 exceeds the enumeration cap 66; use the sampling paths"):
         quantum_pmax_exact(CodingInstance(70, 35))
     with pytest.raises(CapacityError):
         quantum_pmax_exact(CodingInstance(10, 5), cap=9)

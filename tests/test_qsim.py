@@ -10,8 +10,6 @@ from permcode import qsim
 from permcode.coding import CodingInstance, balanced_color_classes, classical_success, quantum_pmax_exact
 from permcode.qsim import (
     CovariantPovm,
-    InternalQsimError,
-    SignalState,
     _color_counts,
     _complete_covariant,
     _gamma_index,
@@ -37,18 +35,18 @@ from permcode.young import CapacityError
 # ------------------------------------------------------- permutation ops
 
 def test_gamma_identity():
-    g = build_gamma((0, 1, 2), 3, 2).matrix
+    g = np.eye(8)[build_gamma((0, 1, 2), 3, 2)]
     assert np.array_equal(g, np.eye(8))
 
 
 def test_gamma_swap_is_swap_matrix():
-    swap = build_gamma((1, 0), 2, 2).matrix
+    swap = np.eye(4)[build_gamma((1, 0), 2, 2)]
     expected = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
     assert np.array_equal(swap, expected)
 
 
 def test_gamma_three_cycle_order():
-    g = build_gamma((1, 2, 0), 3, 2).matrix
+    g = np.eye(8)[build_gamma((1, 2, 0), 3, 2)]
     assert np.array_equal(np.linalg.matrix_power(g, 3), np.eye(8))
     assert not np.array_equal(g, np.eye(8))
 
@@ -58,15 +56,15 @@ def test_gamma_composition_property():
     perms = all_perms(4)
     for _ in range(50):
         p, q = rng.choice(perms), rng.choice(perms)
-        lhs = build_gamma(p, 4, 2).matrix @ build_gamma(q, 4, 2).matrix
-        rhs = build_gamma(compose(p, q), 4, 2).matrix
+        lhs = np.eye(16)[build_gamma(p, 4, 2)] @ np.eye(16)[build_gamma(q, 4, 2)]
+        rhs = np.eye(16)[build_gamma(compose(p, q), 4, 2)]
         assert np.array_equal(lhs, rhs)
 
 
 def test_gamma_inverse_is_transpose():
     for p in all_perms(3):
-        g = build_gamma(p, 3, 2).matrix
-        assert np.array_equal(build_gamma(invert(p), 3, 2).matrix, g.T)
+        g = np.eye(8)[build_gamma(p, 3, 2)]
+        assert np.array_equal(np.eye(8)[build_gamma(invert(p), 3, 2)], g.T)
 
 
 def test_gamma_capacity():
@@ -102,10 +100,10 @@ OPERATOR_CASES = [(2, 2), (3, 2), (4, 2), (3, 3), (2, 4)]
 
 @pytest.mark.parametrize("n,d", OPERATOR_CASES)
 def test_gamma_axis_convention(n, d):
-    # the index, and the dense matrix built on demand, both follow the digit-loop definition
+    # the cached index, as the dense matrix np.eye(d**n)[idx] and raw, follows the digit-loop definition
     for p in all_perms(n):
         loop = _digit_loop_gamma(p, n, d)
-        assert np.array_equal(build_gamma(p, n, d).matrix, loop)
+        assert np.array_equal(np.eye(d**n)[build_gamma(p, n, d)], loop)
         idx = _gamma_index(p, n, d)
         assert np.array_equal(loop[np.arange(d**n), idx], np.ones(d**n))
 
@@ -115,9 +113,9 @@ def test_gamma_index_application_and_conjugation(n, d):
     rng = np.random.default_rng(n * 10 + d)
     dim = d**n
     for p in all_perms(n):
-        g = build_gamma(p, n, d).matrix
-        idx = build_gamma(p, n, d).index
-        inv = build_gamma(invert(p), n, d).index
+        g = np.eye(d**n)[build_gamma(p, n, d)]
+        idx = build_gamma(p, n, d)
+        inv = build_gamma(invert(p), n, d)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert np.array_equal(x[idx], g @ x)
@@ -147,16 +145,15 @@ def test_n3_basis_orthonormal_and_invariant():
         block = np.stack([basis[nm] for nm in names]).T
         proj = block @ block.conj().T
         for p in all_perms(3):
-            g = build_gamma(p, 3, 2).matrix
+            g = np.eye(8)[build_gamma(p, 3, 2)]
             assert np.abs(proj @ g @ proj - g @ proj).max() < 1e-12
 
 
 def test_n3_signal_overlaps():
-    signal, _ = build_n3_example()
-    psi = signal.amplitudes
+    psi, _ = build_n3_example()
     assert abs(np.vdot(psi, psi) - 1) < 1e-12
     for p in all_perms(3):
-        ov = abs(np.vdot(psi, build_gamma(p, 3, 2).matrix @ psi))
+        ov = abs(np.vdot(psi, np.eye(8)[build_gamma(p, 3, 2)] @ psi))
         if p == (0, 1, 2):
             assert abs(ov - 1) < 1e-12
         else:
@@ -175,30 +172,29 @@ def test_n3_povm_is_valid():
 
 
 def test_n3_success_probability():
-    signal, povm = build_n3_example()
-    assert success_probability(signal, povm) == pytest.approx(5 / 6, abs=1e-10)
+    psi, povm = build_n3_example()
+    assert success_probability(psi, povm) == pytest.approx(5 / 6, abs=1e-10)
 
 
 def test_n3_covariant_success_equals_seed_expectation():
-    signal, povm = build_n3_example()
-    psi = signal.amplitudes
+    psi, povm = build_n3_example()
     seed_expect = float(np.real(psi.conj() @ povm.seed_operator @ psi))
-    assert abs(success_probability(signal, povm) - seed_expect) < 1e-12
+    assert abs(success_probability(psi, povm) - seed_expect) < 1e-12
 
 
 def test_success_random_guessing():
     dim = 8
     seed = np.eye(dim) / 6
     povm = CovariantPovm(seed_operator=seed, completion=np.zeros((dim, dim)), n=3, d=2)
-    signal, _ = build_n3_example()
-    assert success_probability(signal, povm) == pytest.approx(1 / 6, abs=1e-12)
+    psi, _ = build_n3_example()
+    assert success_probability(psi, povm) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_success_perfect_classical_code_n2():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0  # up-down
     povm = _complete_covariant(np.outer(psi, psi.conj()), 2, 2)
-    assert success_probability(SignalState(psi, 2, 2), povm) == pytest.approx(1.0, abs=1e-12)
+    assert success_probability(psi, povm) == pytest.approx(1.0, abs=1e-12)
 
 
 # --------------------------------------------------------- symmetrization
@@ -227,25 +223,24 @@ def test_symmetrize_fixed_point():
 
 def test_symmetrize_random_povm_covariance_and_success():
     rng = np.random.default_rng(5)
-    signal, _ = build_n3_example()
-    psi = signal.amplitudes
+    psi, _ = build_n3_example()
     raw = _random_povm(rng, 3, 2)
     cov = symmetrize_povm(raw, 3, 2)
     averaged = symmetrize_elements(raw, 3, 2)
     for p in all_perms(3):
-        g = build_gamma(p, 3, 2).matrix
+        g = np.eye(8)[build_gamma(p, 3, 2)]
         assert np.abs(averaged[p] - g @ cov.seed_operator @ g.conj().T).max() < 1e-12
     raw_success = np.mean(
         [
             np.real(
-                (build_gamma(p, 3, 2).matrix @ psi).conj()
+                (np.eye(8)[build_gamma(p, 3, 2)] @ psi).conj()
                 @ raw[p]
-                @ (build_gamma(p, 3, 2).matrix @ psi)
+                @ (np.eye(8)[build_gamma(p, 3, 2)] @ psi)
             )
             for p in all_perms(3)
         ]
     )
-    assert abs(success_probability(signal, cov) - raw_success) < 1e-12
+    assert abs(success_probability(psi, cov) - raw_success) < 1e-12
 
 
 def test_symmetrize_projective_n2():
@@ -277,21 +272,21 @@ def test_symmetrize_rejects_non_psd():
 # ------------------------------------------------------------------- PGM
 
 def test_pgm_n3_example():
-    signal, povm = build_n3_example()
-    assert pgm_success(signal, 3, 2) == pytest.approx(5 / 6, abs=1e-8)
-    assert abs(pgm_success(signal, 3, 2) - success_probability(signal, povm)) < 1e-8
+    psi, povm = build_n3_example()
+    assert pgm_success(psi, 3, 2) == pytest.approx(5 / 6, abs=1e-8)
+    assert abs(pgm_success(psi, 3, 2) - success_probability(psi, povm)) < 1e-8
 
 
 def test_pgm_orthogonal_ensemble():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0
-    assert pgm_success(SignalState(psi, 2, 2), 2, 2) == pytest.approx(1.0, abs=1e-12)
+    assert pgm_success(psi, 2, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pgm_symmetric_state():
     psi = np.zeros(8, dtype=complex)
     psi[0] = 1.0  # all spins up: invariant under every permutation
-    assert pgm_success(SignalState(psi, 3, 2), 3, 2) == pytest.approx(1 / 6, abs=1e-12)
+    assert pgm_success(psi, 3, 2) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_pgm_never_beats_formula_n3():
@@ -300,7 +295,7 @@ def test_pgm_never_beats_formula_n3():
     for _ in range(200):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi = v / np.linalg.norm(v)
-        assert pgm_success(SignalState(psi, 3, 2), 3, 2) <= best + 1e-8
+        assert pgm_success(psi, 3, 2) <= best + 1e-8
 
 
 @pytest.mark.parametrize(
@@ -339,13 +334,13 @@ def test_pgm_matches_gram_oracle_random_state(n, d):
     for _ in range(3):
         v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
         psi = v / np.linalg.norm(v)
-        assert abs(pgm_success(SignalState(psi, n, d), n, d) - _gram_pgm(psi, n, d)) <= 1e-10
+        assert abs(pgm_success(psi, n, d) - _gram_pgm(psi, n, d)) <= 1e-10
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
 def test_pgm_matches_gram_oracle_optimal_signal(n, d):
     signal = build_optimal_signal(n, d)
-    assert abs(pgm_success(signal, n, d) - _gram_pgm(signal.amplitudes, n, d)) <= 1e-10
+    assert abs(pgm_success(signal, n, d) - _gram_pgm(signal, n, d)) <= 1e-10
 
 
 def _frame_pgm(psi, n, d):
@@ -366,14 +361,14 @@ def test_pgm_matches_frame_oracle_random_state(n, d):
     for _ in range(2):
         v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
         psi = v / np.linalg.norm(v)
-        assert abs(pgm_success(SignalState(psi, n, d), n, d) - _frame_pgm(psi, n, d)) <= 1e-10
+        assert abs(pgm_success(psi, n, d) - _frame_pgm(psi, n, d)) <= 1e-10
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 4), (6, 3), (7, 2)])
 def test_optimal_signal_is_tight_frame(n, d):
     # the orbit of S^(-1/2) psi has frame operator n!/dim_w times a projector of rank dim_w
     dim_w = quantum_pmax_exact(CodingInstance(n, d)).dim_w
-    states = build_optimal_signal(n, d).amplitudes[_gamma_indices(n, d)]
+    states = build_optimal_signal(n, d)[_gamma_indices(n, d)]
     evals = np.linalg.eigvalsh(states.T @ states)
     top = evals[-dim_w:]
     assert np.abs(top / (math.factorial(n) / dim_w) - 1).max() <= 1e-9
@@ -481,7 +476,10 @@ def test_classical_channel_rejects_bad_trials():
 
 
 def test_dimension_mismatch_rejected():
-    signal, _ = build_n3_example()
+    # n and d must describe the vector: an 8-amplitude state is not a (2, 2) state
+    psi, _ = build_n3_example()
     povm = CovariantPovm(seed_operator=np.eye(4) / 2, completion=np.zeros((4, 4)), n=2, d=2)
-    with pytest.raises(ValueError):
-        success_probability(signal, povm)
+    with pytest.raises(ValueError, match="shape"):
+        success_probability(psi, povm)
+    with pytest.raises(ValueError, match="shape"):
+        pgm_success(np.ones(8) / np.sqrt(8), 2, 2)
