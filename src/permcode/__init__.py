@@ -5,12 +5,11 @@ empirical confirmation of the d ~ N/e threshold."""
 __version__ = "0.1.0"
 
 from .coding import CodingInstance, CodingReport, classical_success, info_bound, quantum_pmax_exact
-from .young import YoungDiagram, enumerate_partitions, partition_count
+from .young import enumerate_partitions, partition_count
 
 __all__ = [
     "CodingInstance",
     "CodingReport",
-    "YoungDiagram",
     "classical_success",
     "enumerate_partitions",
     "info_bound",

@@ -9,12 +9,11 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .young import (
-    YoungDiagram,
     enumerate_partitions,
     log_dim_irrep,
     log_multiplicity,
@@ -37,12 +36,10 @@ RULE_OF_THREE_MISS = 0.05
 class BoundCheckReport:
     """Result of verifying a per-diagram (or per-n) inequality exhaustively."""
 
-    name: str
     checked: int
     violations: int
     vacuous: int
     max_slack: float  # max over non-vacuous cases of lhs - rhs in log domain
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -91,12 +88,8 @@ def kerov_bound_check(n: int, cap: int | None = None) -> BoundCheckReport:
     length.  The bound is vacuous when the right side is >= 1."""
     lg_nfact = math.lgamma(n + 1)
     sqrt_n = math.sqrt(n)
-    report = BoundCheckReport(
-        name="plancherel-column-tail", checked=0, violations=0, vacuous=0,
-        max_slack=float("-inf"), params={"n": n},
-    )
-    for diag in enumerate_partitions(n, cap=cap):
-        rows = diag.rows
+    report = BoundCheckReport(checked=0, violations=0, vacuous=0, max_slack=float("-inf"))
+    for rows in enumerate_partitions(n, cap=cap):
         report.checked += 1
         col1 = len(rows)
         rhs = -2.0 * col1 * (math.log(col1 / sqrt_n) - 1.0)
@@ -124,12 +117,8 @@ def kerov_row_bound_check(n: int, d: int, cap: int | None = None) -> BoundCheckR
         r = math.inf
     sqrt_n = math.sqrt(n)
     log_dn = n * math.log(d)
-    report = BoundCheckReport(
-        name="schur-weyl-row-tail", checked=0, violations=0, vacuous=0,
-        max_slack=float("-inf"), params={"n": n, "d": d, "r": r},
-    )
-    for diag in enumerate_partitions(n, cap=cap):
-        rows = diag.rows
+    report = BoundCheckReport(checked=0, violations=0, vacuous=0, max_slack=float("-inf"))
+    for rows in enumerate_partitions(n, cap=cap):
         report.checked += 1
         row1 = rows[0]
         rhs = -row1 * (2.0 * (math.log(row1 / sqrt_n) - 1.0) - 1.0 / (2.0 * r))
@@ -153,10 +142,7 @@ def erdos_bound_check(n_max: int, erdos_c: float = HARDY_RAMANUJAN_C) -> BoundCh
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if math.isnan(erdos_c):
         raise ValueError("the growth constant must be a number, got nan")
-    report = BoundCheckReport(
-        name="partition-count-growth", checked=0, violations=0, vacuous=0,
-        max_slack=float("-inf"), params={"n_max": n_max, "c": erdos_c},
-    )
+    report = BoundCheckReport(checked=0, violations=0, vacuous=0, max_slack=float("-inf"))
     for n in range(1, n_max + 1):
         report.checked += 1
         slack = math.log(partition_count(n)) - erdos_c * math.sqrt(n)
@@ -181,7 +167,7 @@ def _log_add(x: float, y: float) -> float:
     return x + math.log1p(math.exp(y - x))
 
 
-def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[YoungDiagram]:
+def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[tuple[int, ...]]:
     """``count`` random diagrams of n boxes from one ``random.Random(seed)``
     stream: with probability ``plancherel_share`` the RSK shape of a uniform
     permutation (Plancherel measure D^2/n!), else of a uniform word over d
@@ -235,8 +221,8 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     total_sq = 0.0
     top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
-    for shape in draw_shapes(n, d, sample_count, seed, alpha):
-        log_dim, log_mult = _log_dim_mult(shape.rows, d)
+    for rows in draw_shapes(n, d, sample_count, seed, alpha):
+        log_dim, log_mult = _log_dim_mult(rows, d)
         informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
         if log_mult == neg_inf:
             continue  # weight 0

@@ -2,7 +2,8 @@
 suites, and bound checks, emitted as table, CSV, or JSON.
 
 Output is deterministic for a fixed command line and seed (no timestamps).
-The environment variable PERMCODE_CAP overrides the exact-enumeration cap.
+The environment variable PERMCODE_CAP overrides the exact-enumeration cap of
+pmax, sweep and bounds, the three commands that enumerate diagrams.
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ def _wide_str(value: Decimal) -> str:
     return f"{dec_str(float(mantissa))}e{int(exponent):+03d}"
 
 
-def _meta(args: argparse.Namespace, cap: int, extra: dict | None = None) -> dict:
-    meta = {"version": __version__, "command": args.command, "cap": cap}
+def _meta(args: argparse.Namespace, extra: dict | None = None, cap: int | None = None) -> dict:
+    meta = {"version": __version__, "command": args.command}
+    if cap is not None:
+        meta["cap"] = cap
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
     if extra:
@@ -132,7 +135,7 @@ def _emit(args: argparse.Namespace, meta: dict, rows: list[dict], text_lines: li
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("PERMCODE_CAP")
     if env is not None:
@@ -245,14 +248,13 @@ def cmd_pmax(args: argparse.Namespace) -> None:
             f"dim_w = {result.dim_w}",
             f"min_side_counts = {result.min_side_counts}",
         ]
-    _emit(args, _meta(args, cap, {"method": row["method"]}), [row], lines)
+    _emit(args, _meta(args, {"method": row["method"]}, cap), [row], lines)
 
 
 def cmd_classical(args: argparse.Namespace) -> None:
-    cap = _resolve_cap(args)
     p = classical_success(CodingInstance(args.n, args.d))
     row = {"n": args.n, "d": args.d, "p_classical": dec_str(p), "p_classical_exact": frac_str(p)}
-    _emit(args, _meta(args, cap), [row], [f"p_classical = {frac_str(p)} ({dec_str(p)})"])
+    _emit(args, _meta(args), [row], [f"p_classical = {frac_str(p)} ({dec_str(p)})"])
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
@@ -276,19 +278,18 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             f"N={n} d={d} p_quantum={row['p_quantum']} "
             f"({result.method}) ratio_to_bound={row['ratio_to_bound']}"
         )
-    _emit(args, _meta(args, cap, {"r": args.r, "samples": args.samples}), rows_out, lines)
+    _emit(args, _meta(args, {"r": args.r, "samples": args.samples}, cap), rows_out, lines)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
-    cap = _resolve_cap(args)
     share = 1.0 if args.measure == "plancherel" else 0.0
-    shapes = Counter(diag.rows for diag in draw_shapes(args.n, args.d, args.count, args.seed, share))
+    shapes = Counter(draw_shapes(args.n, args.d, args.count, args.seed, share))
     rows = [
-        {"shape": " ".join(map(str, rows_)), "count": c, "frequency": dec_str(c / args.count)}
-        for rows_, c in sorted(shapes.items(), reverse=True)
+        {"shape": " ".join(map(str, shape)), "count": c, "frequency": dec_str(c / args.count)}
+        for shape, c in sorted(shapes.items(), reverse=True)
     ]
     lines = [f"{r['shape']}: {r['count']} ({r['frequency']})" for r in rows]
-    _emit(args, _meta(args, cap, {"measure": args.measure, "count": args.count}), rows, lines)
+    _emit(args, _meta(args, {"measure": args.measure, "count": args.count}), rows, lines)
 
 
 def _verify_n3_checks() -> list[tuple[str, float, float]]:
@@ -297,7 +298,8 @@ def _verify_n3_checks() -> list[tuple[str, float, float]]:
         abs(abs(psi.conj() @ np.eye(8)[build_gamma(p, 3, 2)] @ psi) - 0.2)
         for p in all_perms(3) if p != (0, 1, 2)
     )
-    total = sum(povm.elements().values()) + povm.completion
+    # E_sigma sum to at most I: the slack I - sum E_sigma has no negative eigenvalue
+    slack = np.eye(8) - sum(povm.elements().values())
     p_povm = success_probability(psi, povm)
     orth = orthogonality_check_n3()
     relations = (orth["cross_irrep_residual"], orth["same_irrep_residual"], orth["alignment_residual"])
@@ -305,7 +307,7 @@ def _verify_n3_checks() -> list[tuple[str, float, float]]:
     copies = max(abs(v - 2 / 6) for v in orth["phi_projection_sq_norms"].values())
     return [
         ("overlap-one-fifth", overlap_resid, 1e-12),
-        ("povm-completeness", np.abs(total - np.eye(8)).max(), 1e-10),
+        ("povm-completeness", max(0.0, -np.linalg.eigvalsh(slack).min()), 1e-10),
         ("success-five-sixths", abs(p_povm - 5 / 6), 1e-10),
         ("pgm-matches-povm", abs(pgm_success(psi, 3, 2) - p_povm), 1e-8),
         ("orthogonality-relations", max(relations), 1e-12),
@@ -380,7 +382,6 @@ def verify_checks(suite: str, seed: int) -> list[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
-    cap = _resolve_cap(args)
     checks = verify_checks(args.suite, args.seed)
     lines = [
         f"{'PASS' if c['pass'] else 'FAIL'} {c['check_name']}: "
@@ -389,7 +390,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
     ]
     if args.format == "table":
         args.format = "json"  # verification reports are JSON by default
-    _emit(args, _meta(args, cap, {"suite": args.suite}), checks, lines)
+    _emit(args, _meta(args, {"suite": args.suite}), checks, lines)
     if not all(c["pass"] for c in checks):
         raise InternalInvariantError("verification suite reported failures")
 
@@ -408,7 +409,7 @@ def cmd_bounds(args: argparse.Namespace) -> None:
     kerov_max = max(r.max_slack for r in reports)
     rows = [
         {
-            "check": "plancherel-column-tail", "range": f"n<=%d" % args.kerov_n,
+            "check": "plancherel-column-tail", "range": f"n<={args.kerov_n}",
             "violations": kerov_viol, "max_slack": dec_str(kerov_max),
         },
         {
@@ -425,17 +426,18 @@ def cmd_bounds(args: argparse.Namespace) -> None:
         f"{r['check']} ({r['range']}): violations={r['violations']} max_slack={r['max_slack']}"
         for r in rows
     ]
-    _emit(args, _meta(args, cap, {"c": args.c}), rows, lines)
+    _emit(args, _meta(args, {"c": args.c}, cap), rows, lines)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="permcode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, enumerates: bool = False) -> None:
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
-        p.add_argument("--cap", type=int, default=None, help="exact-enumeration cap override")
+        if enumerates:
+            p.add_argument("--cap", type=int, default=None, help="exact-enumeration cap override")
 
     p = sub.add_parser("pmax", help="optimal quantum success probability")
     p.add_argument("--n", type=int, required=True)
@@ -443,7 +445,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("auto", "exact", "plancherel", "schur-weyl"), default="auto")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, enumerates=True)
     p.set_defaults(fn=cmd_pmax)
 
     p = sub.add_parser("classical", help="optimal classical success probability")
@@ -457,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated N values")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, enumerates=True)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("sample", help="draw random Young diagrams")
@@ -481,7 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kerov-row-d", type=int, default=15)
     p.add_argument("--erdos-n", type=int, default=500)
     p.add_argument("--c", type=float, default=HARDY_RAMANUJAN_C)
-    common(p)
+    common(p, enumerates=True)
     p.set_defaults(fn=cmd_bounds)
 
     return parser

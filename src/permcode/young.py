@@ -1,6 +1,7 @@
 """Exact combinatorics of Young diagrams: enumeration, hook lengths, irrep
 dimensions and multiplicities, and the RSK shape of a word.
 
+A diagram is the tuple of its row lengths, positive and weakly decreasing.
 All counting is done with arbitrary-precision integers; probabilities are
 exact ``fractions.Fraction`` values.  Log-domain variants (``log_dim_irrep``,
 ``log_multiplicity``) are provided for sizes where the exact integers are
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -27,40 +27,7 @@ class InternalInvariantError(AssertionError):
     here, or a convention of the dense checks in ``qsim``."""
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
-    """A partition of n, stored as weakly decreasing row lengths."""
-
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, r in enumerate(rows):
-            if r < 1:
-                raise ValueError(f"row lengths must be positive, got {rows}")
-            if i > 0 and rows[i - 1] < r:
-                raise ValueError(f"rows must be weakly decreasing, got {rows}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.rows)
-
-    @property
-    def first_row(self) -> int:
-        """Length of the first row."""
-        return self.rows[0] if self.rows else 0
-
-    @property
-    def first_column(self) -> int:
-        """Length of the first column, i.e. the number of rows."""
-        return len(self.rows)
-
-    def conjugate(self) -> "YoungDiagram":
-        return YoungDiagram(_conjugate(self.rows))
-
-
-def _conjugate(rows: Sequence[int]) -> tuple[int, ...]:
+def conjugate(rows: Sequence[int]) -> tuple[int, ...]:
     """Column lengths, in O(rows + columns): column j holds the rows longer than j."""
     cols = []
     height = len(rows)
@@ -73,7 +40,7 @@ def _conjugate(rows: Sequence[int]) -> tuple[int, ...]:
 
 def _hook_product(rows: Sequence[int]) -> int:
     """Product over all cells of (arm + leg + 1)."""
-    conj = _conjugate(rows)
+    conj = conjugate(rows)
     prod = 1
     for i, r in enumerate(rows):
         for j in range(r):
@@ -90,15 +57,12 @@ def _content_product(rows: Sequence[int], d: int) -> int:
     return prod
 
 
-def enumerate_partitions(n: int, cap: int | None = None) -> Iterator[YoungDiagram]:
-    """Yield every partition of n exactly once, in reverse-lexicographic order.
-
-    [n] comes first and [1, ..., 1] last.  Streaming: partitions are produced
-    one at a time.
-    """
+def enumerate_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every partition of n exactly once, in reverse-lexicographic order:
+    (n,) first and (1, ..., 1) last.  Streaming: partitions are produced one
+    at a time.  The cap is checked at the call, before the first one."""
     check_enumerable(n, cap)
-    for rows in _partitions_revlex(n):
-        yield YoungDiagram(rows)
+    return _partitions_revlex(n)
 
 
 def check_enumerable(n: int, cap: int | None = None) -> None:
@@ -168,9 +132,8 @@ def partition_count_at_most(n: int, k: int) -> int:
     return ways[n]
 
 
-def dim_irrep(diagram: YoungDiagram) -> int:
+def dim_irrep(rows: Sequence[int]) -> int:
     """Dimension of the S_n irrep labeled by the diagram (hook-length formula)."""
-    rows = diagram.rows
     n = sum(rows)
     hooks = _hook_product(rows)
     nfact = math.factorial(n)
@@ -182,11 +145,10 @@ def dim_irrep(diagram: YoungDiagram) -> int:
     return q
 
 
-def multiplicity(diagram: YoungDiagram, d: int) -> int:
+def multiplicity(rows: Sequence[int], d: int) -> int:
     """Multiplicity of the irrep inside (C^d)^(tensor n): semistandard tableau count."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    rows = diagram.rows
     if len(rows) > d:
         return 0
     content = _content_product(rows, d)
@@ -200,9 +162,8 @@ def multiplicity(diagram: YoungDiagram, d: int) -> int:
     return q
 
 
-def dim_mult_ratio(diagram: YoungDiagram, d: int) -> Fraction:
+def dim_mult_ratio(rows: Sequence[int], d: int) -> Fraction:
     """The exact ratio dim/multiplicity = n! / prod(d - i + j) over cells."""
-    rows = diagram.rows
     if len(rows) > d:
         raise ValueError(
             f"ratio undefined: diagram with {len(rows)} rows has zero multiplicity at d={d}"
@@ -214,7 +175,7 @@ def dim_mult_ratio(diagram: YoungDiagram, d: int) -> Fraction:
 def log_dim_irrep(rows: Sequence[int]) -> float:
     """ln of the irrep dimension, computed as a sum of log hook terms."""
     n = sum(rows)
-    conj = _conjugate(rows)
+    conj = conjugate(rows)
     s = math.lgamma(n + 1)
     for i, r in enumerate(rows):
         for j in range(r):
@@ -226,7 +187,7 @@ def log_multiplicity(rows: Sequence[int], d: int) -> float:
     """ln of the multiplicity at d; -inf when the diagram has more than d rows."""
     if len(rows) > d:
         return float("-inf")
-    conj = _conjugate(rows)
+    conj = conjugate(rows)
     s = 0.0
     for i, r in enumerate(rows):
         for j in range(r):
@@ -234,7 +195,7 @@ def log_multiplicity(rows: Sequence[int], d: int) -> float:
     return s
 
 
-def rsk_shape(word: Sequence[int]) -> YoungDiagram:
+def rsk_shape(word: Sequence[int]) -> tuple[int, ...]:
     """Shape of the insertion tableau of the word under RSK row insertion."""
     if len(word) == 0:
         raise ValueError("rsk_shape requires a non-empty word")
@@ -248,4 +209,4 @@ def rsk_shape(word: Sequence[int]) -> YoungDiagram:
             x, row[pos] = row[pos], x
         else:
             tableau_rows.append([x])
-    return YoungDiagram(tuple(len(row) for row in tableau_rows))
+    return tuple(len(row) for row in tableau_rows)

@@ -135,7 +135,7 @@ def test_criterion_04_ratio_formula():
                 if m == 0:
                     continue
                 if dim_mult_ratio(diag, d) != Fraction(dim_irrep(diag), m):
-                    bad.append((diag.rows, d))
+                    bad.append((diag, d))
     _report(4, not bad, f"dim/mult ratio exact on N<=12, d<=6, failures={bad}")
 
 

@@ -137,7 +137,7 @@ def test_estimators_read_the_sample_stream():
     # an informative draw has m > D under pure Schur-Weyl draws, m < D under the mixture
     n, d, k, seed = 30, 12, 500, 3
     for fn, share in ((pmax_estimate_schur_weyl, 0.0), (pmax_estimate_plancherel, 0.99)):
-        logs = [(log_dim_irrep(s.rows), log_multiplicity(s.rows, d)) for s in draw_shapes(n, d, k, seed, share)]
+        logs = [(log_dim_irrep(s), log_multiplicity(s, d)) for s in draw_shapes(n, d, k, seed, share)]
         informative = sum((dim < mult) if share == 0.0 else (mult < dim) for dim, mult in logs)
         assert fn(n, d, k, seed).informative == informative > 0
 

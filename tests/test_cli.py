@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from permcode import cli
 from permcode.asymptotics import McEstimate
 from permcode.cli import _int_str, dec_str, main, sweep
 from permcode.coding import info_bound
+from permcode.qsim import CovariantPovm, build_n3_example
 
 
 def run_cli(capsys, argv):
@@ -171,6 +173,47 @@ PMAX_PLANCHEREL_JSON_FROZEN = {
 }
 
 
+# Shape counts of both measures and the three bound checks, frozen while a
+# diagram was still a YoungDiagram object rather than its tuple of rows.
+SAMPLE_PLANCHEREL_CSV_FROZEN = "".join(
+    f"# {line}\n"
+    for line in ("version=0.1.0", "command=sample", "seed=3", "measure=plancherel", "count=300")
+) + "".join(
+    f"{line}\r\n"
+    for line in (
+        "shape,count,frequency",
+        "7 1,1,0.00333333333333", "6 2,1,0.00333333333333", "6 1 1,4,0.0133333333333",
+        "5 3,4,0.0133333333333", "5 2 1,32,0.106666666667", "5 1 1 1,9,0.03", "4 4,3,0.01",
+        "4 3 1,40,0.133333333333", "4 2 2,17,0.0566666666667", "4 2 1 1,67,0.223333333333",
+        "4 1 1 1 1,7,0.0233333333333", "3 3 2,16,0.0533333333333", "3 3 1 1,22,0.0733333333333",
+        "3 2 2 1,30,0.1", "3 2 1 1 1,28,0.0933333333333", "3 1 1 1 1 1,9,0.03",
+        "2 2 2 2,2,0.00666666666667", "2 2 2 1 1,6,0.02", "2 1 1 1 1 1 1,2,0.00666666666667",
+    )
+)
+
+SAMPLE_SCHUR_WEYL_TABLE_FROZEN = "".join(
+    f"{line}\n"
+    for line in (
+        "# version=0.1.0", "# command=sample", "# seed=4", "# measure=schur-weyl", "# count=300",
+        "8 1: 12 (0.04)", "7 2: 20 (0.0666666666667)", "7 1 1: 19 (0.0633333333333)",
+        "6 3: 46 (0.153333333333)", "6 2 1: 56 (0.186666666667)", "5 4: 24 (0.08)",
+        "5 3 1: 70 (0.233333333333)", "5 2 2: 17 (0.0566666666667)", "4 4 1: 17 (0.0566666666667)",
+        "4 3 2: 19 (0.0633333333333)",
+    )
+)
+
+# (16, 16): the row check is not vacuous there, so its slack is finite
+BOUNDS_TABLE_FROZEN = "".join(
+    f"{line}\n"
+    for line in (
+        "# version=0.1.0", "# command=bounds", "# cap=66", "# c=2.565099660323728",
+        "plancherel-column-tail (n<=12): violations=0 max_slack=-9.8831868633",
+        "schur-weyl-row-tail (n=16,d=16): violations=0 max_slack=-16.8287282391",
+        "partition-count-growth (n<=50): violations=0 max_slack=-2.56509966032",
+    )
+)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -188,8 +231,14 @@ PMAX_PLANCHEREL_JSON_FROZEN = {
             "pmax --method schur-weyl --n 1000 --d 200 --samples 100 --format csv",
             PMAX_SCHUR_WEYL_CSV_FROZEN,
         ),
+        ("sample --measure plancherel --n 8 --count 300 --seed 3 --format csv", SAMPLE_PLANCHEREL_CSV_FROZEN),
+        ("sample --measure schur-weyl --n 9 --d 3 --count 300 --seed 4", SAMPLE_SCHUR_WEYL_TABLE_FROZEN),
+        ("bounds --kerov-n 12 --kerov-row-n 16 --kerov-row-d 16 --erdos-n 50", BOUNDS_TABLE_FROZEN),
     ],
-    ids=["sweep-csv", "sweep-json", "pmax-plancherel-json", "pmax-exact-csv", "pmax-schur-weyl-csv"],
+    ids=[
+        "sweep-csv", "sweep-json", "pmax-plancherel-json", "pmax-exact-csv", "pmax-schur-weyl-csv",
+        "sample-plancherel-csv", "sample-schur-weyl-table", "bounds-table",
+    ],
 )
 def test_mixed_reports_frozen(capsys, argv, expected):
     code, out, _ = run_cli(capsys, argv.split())
@@ -257,6 +306,15 @@ def test_classical_command(capsys):
     code, out, _ = run_cli(capsys, ["classical", "--n", "6", "--d", "3"])
     assert code == 0
     assert "p_classical = 1/8 (0.125)" in out
+
+
+def test_cap_only_where_diagrams_are_enumerated(capsys, monkeypatch):
+    # classical, sample and verify enumerate nothing, so they read no cap
+    monkeypatch.setenv("PERMCODE_CAP", "banana")
+    code, out, _ = run_cli(capsys, ["classical", "--n", "3", "--d", "2"])
+    assert code == 0 and "cap" not in out
+    code, out, err = run_cli(capsys, ["verify", "--suite", "n3", "--cap", "3"])
+    assert code == 1 and out == "" and "--cap" in err
 
 
 def test_int_str_digit_limit():
@@ -404,6 +462,21 @@ def test_verify_all_json(capsys):
     assert all(c["pass"] for c in payload["rows"])
     names = {c["check_name"] for c in payload["rows"]}
     assert {"overlap-one-fifth", "povm-completeness", "symmetrized-covariance"} <= names
+
+
+def test_verify_completeness_fails_for_elements_above_identity(capsys, monkeypatch):
+    # a doubled seed: its elements sum to 2 * (I - C), with top eigenvalue 2.
+    # Its completion I - 2 * (I - C) makes the sum I exactly, so only the
+    # elements themselves can show that they exceed I.
+    psi, povm = build_n3_example()
+    completion = 2 * povm.completion - np.eye(8)
+    doubled = CovariantPovm(seed_operator=2 * povm.seed_operator, completion=completion, n=3, d=2)
+    monkeypatch.setattr(cli, "build_n3_example", lambda: (psi, doubled))
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "n3"])
+    assert code == 2
+    rows = {c["check_name"]: c for c in json.loads(out)["rows"]}
+    assert not rows["povm-completeness"]["pass"]
+    assert rows["povm-completeness"]["max_residual"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_verify_single_suite(capsys):

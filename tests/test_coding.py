@@ -37,8 +37,8 @@ def pmax_oracle(n: int, d: int) -> Fraction:
     """Brute-force: tableau-counting oracles instead of hook-length products."""
     total = 0
     for diag in enumerate_partitions(n):
-        dim = count_syt(diag.rows)
-        mult = count_ssyt(diag.rows, d)
+        dim = count_syt(diag)
+        mult = count_ssyt(diag, d)
         total += min(dim, mult) * dim
     return Fraction(total, math.factorial(n))
 
@@ -193,7 +193,7 @@ def test_covering_moves_raise_content_product():
     moves = 0
     for n in range(2, 17):
         for diag in enumerate_partitions(n):
-            rows = list(diag.rows)
+            rows = list(diag)
             before = {d: _content_product(rows, d) for d in range(len(rows), n + 1)}
             for i, j in combinations(range(len(rows)), 2):
                 moved = rows.copy()
