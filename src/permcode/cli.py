@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     HARDY_RAMANUJAN_C,
+    BoundCheckReport,
     McEstimate,
     draw_shapes,
     erdos_bound_check,
@@ -115,7 +116,7 @@ def _emit(args: argparse.Namespace, meta: dict, rows: list[dict], text_lines: li
         for k, v in meta.items():
             out.write(f"# {k}={v}\n")
         if rows:
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(out, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
             writer.writeheader()
             writer.writerows(rows)
     else:
@@ -405,28 +406,34 @@ def cmd_bounds(args: argparse.Namespace) -> None:
         reports.append(kerov_bound_check(n, cap=cap))
     row_rep = kerov_row_bound_check(args.kerov_row_n, args.kerov_row_d, cap=cap)
     erdos = erdos_bound_check(args.erdos_n, args.c)
-    kerov_viol = sum(r.violations for r in reports)
-    kerov_max = max(r.max_slack for r in reports)
     rows = [
-        {
-            "check": "plancherel-column-tail", "range": f"n<={args.kerov_n}",
-            "violations": kerov_viol, "max_slack": dec_str(kerov_max),
-        },
-        {
-            "check": "schur-weyl-row-tail",
-            "range": f"n={args.kerov_row_n},d={args.kerov_row_d}",
-            "violations": row_rep.violations, "max_slack": dec_str(row_rep.max_slack),
-        },
-        {
-            "check": "partition-count-growth", "range": f"n<={args.erdos_n}",
-            "violations": erdos.violations, "max_slack": dec_str(erdos.max_slack),
-        },
+        _bound_row("plancherel-column-tail", f"n<={args.kerov_n}", reports),
+        _bound_row("schur-weyl-row-tail", f"n={args.kerov_row_n},d={args.kerov_row_d}", [row_rep]),
+        _bound_row("partition-count-growth", f"n<={args.erdos_n}", [erdos]),
     ]
     lines = [
-        f"{r['check']} ({r['range']}): violations={r['violations']} max_slack={r['max_slack']}"
+        f"{r['check']} ({r['range']}): "
+        + (
+            f"untested, vacuous in all {r['vacuous']} cases"
+            if "vacuous" in r
+            else f"violations={r['violations']} max_slack={r['max_slack']}"
+        )
         for r in rows
     ]
     _emit(args, _meta(args, {"c": args.c}, cap), rows, lines)
+
+
+def _bound_row(check: str, span: str, reports: list[BoundCheckReport]) -> dict:
+    """One output row of `bounds`.  A row whose every case is vacuous tested
+    nothing, so it gives that count instead of violations=0 and a slack of -inf."""
+    vacuous = sum(r.vacuous for r in reports)
+    if vacuous == sum(r.checked for r in reports):
+        return {"check": check, "range": span, "vacuous": vacuous}
+    return {
+        "check": check, "range": span,
+        "violations": sum(r.violations for r in reports),
+        "max_slack": dec_str(max(r.max_slack for r in reports)),
+    }
 
 
 def build_parser() -> _Parser:

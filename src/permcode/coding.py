@@ -128,7 +128,11 @@ def _gap_side(
     longest first.  The dominance-largest completion of a prefix fills every
     further row to the length of its last row.  When that completion fails
     the test, or needs more rows than allowed, so does every completion of
-    the prefix and every shorter choice of its last row.
+    the prefix and every shorter choice of its last row.  Below a row of
+    length 1 every row is 1 and none is tested, so such a row finishes its
+    leaf in one step: r rows of 1 added as rows k, k+1, ... to a prefix with
+    hook product H and shifted lengths s_i = (length of row i) - i give
+    H * r! * prod_i (s_i + k + r - 1) / prod_i (s_i + k - 1).
 
     The first rows that pass the test are dealt round-robin into ``shares``
     shares, by default one per usable CPU from N = SPLIT_FROM_N on.  Share 0
@@ -216,17 +220,29 @@ def _gap_side(
                     pruned += 1
                     return
                 kept += 1
-                h = grown * factorials[length] // math.prod(map((k - length).__add__, shifted))
-                product = prefix and prefix * (row_k[length] or row(k, length))
-                if length < remaining:
-                    # the longest next row completes to the completion that
-                    # kept this prefix, so it needs no test, and under a zero
-                    # prefix no row does
-                    first = min(length, remaining - length)
-                    shifted.append(length - k)
-                    extend(product, h, remaining - length, range(first, 0, -1), first if product else 0)
-                    shifted.pop()
-                elif product == nfact:
+                if length == 1 < remaining:
+                    # every further row is 1 and none is tested: count the
+                    # chain's links and finish its leaf in one step.  The
+                    # test just above has usually cached the completion.
+                    kept += remaining - 1
+                    h = (
+                        hooks * factorials[remaining] * math.prod(map((k + remaining - 1).__add__, shifted))
+                        // math.prod(map((k - 1).__add__, shifted))
+                    )
+                    product = prefix and prefix * (tails.get((k, remaining, 1)) or tail(k, remaining, 1))
+                else:
+                    h = grown * factorials[length] // math.prod(map((k - length).__add__, shifted))
+                    product = prefix and prefix * (row_k[length] or row(k, length))
+                    if length < remaining:
+                        # the longest next row completes to the completion
+                        # that kept this prefix, so it needs no test, and
+                        # under a zero prefix no row does
+                        first = min(length, remaining - length)
+                        shifted.append(length - k)
+                        extend(product, h, remaining - length, range(first, 0, -1), first if product else 0)
+                        shifted.pop()
+                        continue
+                if product == nfact:
                     ties += 1
                 else:
                     strict += 1

@@ -505,6 +505,20 @@ def test_bounds_default_row_check_is_not_vacuous(capsys):
     assert math.isfinite(float(line.split("max_slack=")[1]))
 
 
+def test_bounds_row_that_tests_nothing_says_so(capsys):
+    # every one of the 135 diagrams of 14 is vacuous for the row bound at d = 5
+    argv = ["bounds", "--kerov-n", "12", "--kerov-row-n", "14", "--kerov-row-d", "5", "--erdos-n", "50"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert "schur-weyl-row-tail (n=14,d=5): untested, vacuous in all 135 cases\n" in out
+    assert "plancherel-column-tail (n<=12): violations=0 max_slack=-9.8831868633\n" in out
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[1] == {"check": "schur-weyl-row-tail", "range": "n=14,d=5", "vacuous": 135}
+    assert rows[0]["violations"] == 0 and "vacuous" not in rows[0]
+
+
 def test_bounds_rejects_nan_constant(capsys):
     # every comparison with nan is false, so it would report no violation
     code, out, _ = run_cli(capsys, ["bounds", "--kerov-n", "5", "--kerov-row-n", "5", "--c", "nan"])

@@ -253,17 +253,29 @@ def test_split_search_equals_serial_search_n50(n, d):
     assert _gap_side(n, d, above, 2) == _gap_side(n, d, above, 3) == serial
 
 
+def test_both_sides_of_the_gap_agree():
+    # d^N - (m > D side) and N! - (m < D side) share no term; both run the
+    # rows of length 1 that finish their leaf in one step
+    for n in range(1, 27):
+        nfact = math.factorial(n)
+        for d in range(1, n + 2):
+            below = d**n - _gap_side(n, d, False, 1)[0]
+            assert below == nfact - _gap_side(n, d, True, 1)[0], (n, d)
+
+
 def test_search_counts():
-    # the diagrams kept at N = 50 that README.md quotes, and above the
-    # critical ratio the kept side with the diagrams of m = 0 among its leaves
-    for d, leaves, sides in (
-        (10, 382, ("dim_wins", "ties")),
-        (18, 43_200, ("dim_wins", "ties")),
-        (25, 22_251, ("mult_wins", "ties", "zero_mult")),
+    # the diagrams kept and the prefixes visited at N = 50 that README.md
+    # quotes, and above the critical ratio the kept side with the diagrams of
+    # m = 0 among its leaves
+    for d, leaves, work, sides in (
+        (10, 382, (1_065, 1_004, 61), ("dim_wins", "ties")),
+        (18, 43_200, (156_391, 150_176, 6_215), ("dim_wins", "ties")),
+        (25, 22_251, (91_904, 91_044, 860), ("mult_wins", "ties", "zero_mult")),
     ):
         rep = quantum_pmax_exact(CodingInstance(50, d))
         counts = rep.search_counts
         assert counts["leaves"] == leaves == sum(rep.min_side_counts[side] for side in sides)
+        assert (counts["visited"], counts["kept"], counts["pruned"]) == work
         assert counts["visited"] == counts["kept"] + counts["pruned"]
         assert counts["leaves"] < counts["kept"]
 

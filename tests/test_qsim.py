@@ -29,7 +29,7 @@ from permcode.qsim import (
     symmetrize_elements,
     symmetrize_povm,
 )
-from permcode.young import CapacityError
+from permcode.young import CapacityError, InternalInvariantError
 
 
 # ------------------------------------------------------- permutation ops
@@ -195,6 +195,13 @@ def test_success_perfect_classical_code_n2():
     psi[1] = 1.0  # up-down
     povm = _complete_covariant(np.outer(psi, psi.conj()), 2, 2)
     assert success_probability(psi, povm) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_completion_of_elements_above_identity_raises():
+    # a doubled seed sums to more than I, so its completion is not PSD
+    _, povm = build_n3_example()
+    with pytest.raises(InternalInvariantError, match="not PSD"):
+        _complete_covariant(2 * povm.seed_operator, 3, 2)
 
 
 # --------------------------------------------------------- symmetrization
