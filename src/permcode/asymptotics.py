@@ -10,9 +10,11 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import islice
 from typing import Iterator
 
+from .coding import _over_shares, _share_count
 from .young import (
     enumerate_partitions,
     log_dim_irrep,
@@ -30,6 +32,10 @@ PLANCHEREL_SHARE = 0.99
 
 #: Miss probability of the rule-of-three bar reported when no draw was informative.
 RULE_OF_THREE_MISS = 0.05
+
+#: Draws an estimator deals over its shares at a time: the parent holds the
+#: two log values of at most this many draws, whatever the sample count.
+DRAW_BLOCK = 4096
 
 
 @dataclass
@@ -167,6 +173,21 @@ def _log_add(x: float, y: float) -> float:
     return x + math.log1p(math.exp(y - x))
 
 
+def _draw_words(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[list[int]]:
+    """The words whose RSK shapes ``draw_shapes`` yields.  A permutation is
+    shuffled in place, so each word is valid only until the next is drawn."""
+    if n < 1 or count < 1 or (plancherel_share < 1.0 and d < 1):
+        raise ValueError(f"need n, count >= 1 and, for Schur-Weyl draws, d >= 1, got ({n}, {count}, {d})")
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    for _ in range(count):
+        if plancherel_share > 0.0 and rng.random() < plancherel_share:
+            rng.shuffle(perm)
+            yield perm
+        else:
+            yield [rng.randint(1, d) for _ in range(n)]
+
+
 def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[tuple[int, ...]]:
     """``count`` random diagrams of n boxes from one ``random.Random(seed)``
     stream: with probability ``plancherel_share`` the RSK shape of a uniform
@@ -174,19 +195,48 @@ def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) 
     letters (Schur-Weyl measure m*D/d^n).  A share of 1 draws Plancherel
     shapes only, and d is then not read; a share of 0 draws Schur-Weyl shapes
     only and spends no random number on the choice."""
-    if n < 1 or count < 1 or (plancherel_share < 1.0 and d < 1):
-        raise ValueError(f"need n, count >= 1 and, for Schur-Weyl draws, d >= 1, got ({n}, {count}, {d})")
-    rng = random.Random(seed)
-    perm = list(range(1, n + 1))  # shuffled in place, draw after draw
-    for _ in range(count):
-        if plancherel_share > 0.0 and rng.random() < plancherel_share:
-            rng.shuffle(perm)
-            yield rsk_shape(perm)
-        else:
-            yield rsk_shape([rng.randint(1, d) for _ in range(n)])
+    for word in _draw_words(n, d, count, seed, plancherel_share):
+        yield rsk_shape(word)
 
 
-def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float, method: str) -> McEstimate:
+def _block_logs(words: Iterator[list[int]], d: int, block: int, shares: int, j: int) -> tuple[float, ...]:
+    """ln D and ln m, flattened, of the diagrams of the next ``block`` words'
+    draws j, j + shares, ...; the other words are drawn and skipped."""
+    logs: list[float] = []
+    for i, word in enumerate(islice(words, block)):
+        if i % shares == j:
+            logs += _log_dim_mult(rsk_shape(word), d)
+    return tuple(logs)
+
+
+def _draw_logs(
+    n: int, d: int, count: int, seed: int, plancherel_share: float, shares: int
+) -> Iterator[tuple[float, float]]:
+    """(ln D, ln m) of each diagram of ``draw_shapes``, in draw order.
+
+    The draws are dealt DRAW_BLOCK at a time over ``coding._over_shares``:
+    draw i of a block goes to share i mod ``shares``.  Each share runs the
+    block's stretch of the one seeded stream, from the state its process was
+    forked with, and takes the RSK shape of its own words only.  The logs are
+    floats that cross the pipe bit for bit, so they equal a one-process run's
+    at any share count.
+    """
+    words = _draw_words(n, d, count, seed, plancherel_share)
+    for start in range(0, count, DRAW_BLOCK):
+        block = min(DRAW_BLOCK, count - start)
+        dealt = min(shares, block)
+        sizes = [2 * len(range(j, block, dealt)) for j in range(dealt)]
+        parts = _over_shares(partial(_block_logs, words, d, block, dealt), sizes, "Monte Carlo draws")
+        log_dims, log_mults = [0.0] * block, [0.0] * block
+        for j, part in enumerate(parts):
+            log_dims[j::dealt] = part[0::2]
+            log_mults[j::dealt] = part[1::2]
+        yield from zip(log_dims, log_mults)
+
+
+def _mixture_estimate(
+    n: int, d: int, sample_count: int, seed: int, alpha: float, method: str, shares: int | None = None
+) -> McEstimate:
     """Importance-sampling core shared by both estimators.
 
     P_max is the sum over diagrams of f = min(m, D) * D / n!.  The draws come
@@ -208,6 +258,10 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     mass times the weight bound.  A single draw shows no spread, so its error
     bar is the weight bound itself.  Only where q puts all its mass on one
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
+
+    The draws are dealt into ``shares`` shares (``_draw_logs``), by default
+    one per usable CPU from N = SPLIT_FROM_N on, and summed here in draw
+    order, so the estimate is the same bit for bit at any share count.
     """
     if n < 1 or d < 1 or sample_count < 1:
         raise ValueError(f"need n, d, sample_count >= 1, got ({n}, {d}, {sample_count})")
@@ -221,8 +275,8 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     total_sq = 0.0
     top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
-    for rows in draw_shapes(n, d, sample_count, seed, alpha):
-        log_dim, log_mult = _log_dim_mult(rows, d)
+    shares = _share_count(n, sample_count, shares)
+    for log_dim, log_mult in _draw_logs(n, d, sample_count, seed, alpha, shares):
         informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
         if log_mult == neg_inf:
             continue  # weight 0

@@ -9,7 +9,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .young import (
     InternalInvariantError,
@@ -25,9 +25,9 @@ from .young import (
 #: Color ratio d/N separating the two asymptotic regimes.
 CRITICAL_RATIO = 1.0 / math.e
 
-#: Smallest N whose exact search is split over the usable CPUs.  Below it a
-#: search takes a few milliseconds, the order of what a fork and reaping the
-#: child cost.
+#: Smallest N whose exact search, and whose Monte Carlo draws, are split over
+#: the usable CPUs.  Below it a search takes a few milliseconds, the order of
+#: what a fork and reaping the child cost.
 SPLIT_FROM_N = 40
 
 #: Completion products the exact search keeps at once.  The cache starts over
@@ -137,7 +137,7 @@ def _gap_side(
     The first rows that pass the test are dealt round-robin into ``shares``
     shares, by default one per usable CPU from N = SPLIT_FROM_N on.  Share 0
     runs in this process and each other share in a forked child
-    (``_sum_over_shares``).  Every partial result is an integer, so the split
+    (``_over_shares``).  Every partial result is an integer, so the split
     cannot change the sum.
 
     Returns (sum over the gap side of |m - D| * D, the number of searched
@@ -191,11 +191,7 @@ def _gap_side(
             break
         firsts.append(length)
 
-    if shares is None:
-        shares = _usable_cpus() if n >= SPLIT_FROM_N else 1
-    if not hasattr(os, "fork"):
-        shares = 1
-    shares = max(1, min(shares, len(firsts)))
+    shares = _share_count(n, len(firsts), shares)
 
     def share(j: int) -> tuple[int, int, int, int, int]:
         gap = strict = ties = kept = pruned = 0
@@ -252,7 +248,8 @@ def _gap_side(
         return sign * gap, strict, ties, kept, pruned
 
     try:
-        gap, strict, ties, kept, pruned = _sum_over_shares(share, shares)
+        parts = _over_shares(share, [5] * shares, "exact search")  # gap, strict, ties, kept, pruned
+        gap, strict, ties, kept, pruned = map(sum, zip(*parts))
     finally:
         # the recursive closures form a reference cycle, which would keep the
         # tables until the next garbage collection
@@ -271,22 +268,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sum_over_shares(work: Callable[[int], tuple[int, ...]], shares: int) -> tuple[int, ...]:
-    """work(j) for j = 0, ..., shares - 1, summed entry by entry.
+def _share_count(n: int, items: int, shares: int | None) -> int:
+    """How many shares ``items`` pieces of work on N = n boxes are dealt into:
+    ``shares``, by default one per usable CPU from N = SPLIT_FROM_N on, and
+    one without ``os.fork``; never more than the items, never fewer than one."""
+    if shares is None:
+        shares = _usable_cpus() if n >= SPLIT_FROM_N else 1
+    if not hasattr(os, "fork"):
+        shares = 1
+    return max(1, min(shares, items))
+
+
+def _over_shares(
+    work: Callable[[int], tuple[int | float, ...]], sizes: Sequence[int], what: str
+) -> list[tuple[int | float, ...]]:
+    """[work(0), ..., work(P - 1)] for P = len(sizes) shares, where work(j)
+    returns a tuple of sizes[j] integers and floats; ``what`` names the work
+    in failure messages.
 
     Share 0 runs in this process; each other share runs in a child made with
-    ``os.fork``, which sends its integers back over a pipe and leaves through
+    ``os.fork``, which sends its tuple back over a pipe and leaves through
     ``os._exit``, so it never flushes this process's buffers or runs its exit
-    hooks.  A child runs only integer arithmetic, so no lock held by another
-    thread of this process (numpy's BLAS pool, say) can block it.  A child
-    that fails, or sends nothing readable, raises InternalInvariantError here.
-    However this call ends, no child outlives it.
+    hooks.  A child runs pure Python on the objects it was forked with, and
+    touches neither numpy nor any file but its pipe, so no lock held by
+    another thread of this process (numpy's BLAS pool, say) can block it.
+    The tuple crosses the pipe as marshal bytes, which keep every integer and
+    every float bit for bit.  A child that fails, or sends nothing readable,
+    raises InternalInvariantError here.  However this call ends, no child
+    outlives it.
     """
-    if shares == 1:
-        return work(0)
-    pending: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    if len(sizes) == 1:
+        return [work(0)]
+    pending: dict[int, tuple[int, int]] = {}  # pid -> (share, read end of its pipe), until reaped
     try:
-        for j in range(1, shares):
+        for j in range(1, len(sizes)):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -302,41 +317,43 @@ def _sum_over_shares(work: Callable[[int], tuple[int, ...]], shares: int) -> tup
                     os.close(write_fd)
                     status = 0
                 except Exception as exc:
-                    os.write(2, f"share {j} of the exact search failed: {exc!r}\n".encode())
+                    os.write(2, f"share {j} of the {what} failed: {exc!r}\n".encode())
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            pending[pid] = read_fd
-        totals = list(work(0))
-        for pid, read_fd in list(pending.items()):
-            part = _receive_totals(read_fd, len(totals))
+            pending[pid] = j, read_fd
+        parts = [work(0)]
+        for pid, (j, read_fd) in list(pending.items()):
+            part = _receive_totals(read_fd, sizes[j], f"share {j} of the {what}")
             _, status = os.waitpid(pid, 0)
             del pending[pid]
             os.close(read_fd)
             if status:
-                raise InternalInvariantError(f"exact search child {pid} ended with wait status {status}")
-            totals = [a + b for a, b in zip(totals, part)]
-        return tuple(totals)
+                raise InternalInvariantError(f"share {j} of the {what} (pid {pid}) ended with wait status {status}")
+            parts.append(part)
+        return parts
     finally:
         if pending:
             from signal import SIGKILL
 
-            for pid, read_fd in pending.items():
+            for pid, (_, read_fd) in pending.items():
                 os.close(read_fd)
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _send_totals(fd: int, totals: tuple[int, ...]) -> None:
-    """Write a tuple of integers to ``fd`` as marshal bytes.  Never through
-    str(): Python refuses to print an integer of more than 4300 digits."""
+def _send_totals(fd: int, totals: tuple[int | float, ...]) -> None:
+    """Write a tuple of integers and floats to ``fd`` as marshal bytes.  Never
+    through str(): Python refuses to print an integer of more than 4300
+    digits, and a float would lose bits."""
     data = memoryview(marshal.dumps(tuple(totals)))
     while data:
         data = data[os.write(fd, data) :]
 
 
-def _receive_totals(fd: int, count: int) -> tuple[int, ...]:
-    """Read ``fd`` to its end and decode the ``count`` integers sent by ``_send_totals``."""
+def _receive_totals(fd: int, count: int, sender: str = "a share") -> tuple[int | float, ...]:
+    """Read ``fd`` to its end and decode the ``count`` integers and floats
+    sent by ``_send_totals``; ``sender`` names the writer in the error."""
     chunks = []
     while chunk := os.read(fd, 4096):
         chunks.append(chunk)
@@ -344,8 +361,8 @@ def _receive_totals(fd: int, count: int) -> tuple[int, ...]:
         totals = marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
         totals = None
-    if type(totals) is not tuple or len(totals) != count or any(type(t) is not int for t in totals):
-        raise InternalInvariantError(f"an exact search share sent no {count} integers")
+    if type(totals) is not tuple or len(totals) != count or any(type(t) not in (int, float) for t in totals):
+        raise InternalInvariantError(f"{sender} sent no {count} numbers")
     return totals
 
 

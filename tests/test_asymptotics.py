@@ -1,9 +1,14 @@
 import math
+import os
 
 import pytest
 
+from permcode import coding
 from permcode.asymptotics import (
+    DRAW_BLOCK,
     HARDY_RAMANUJAN_C,
+    PLANCHEREL_SHARE,
+    _mixture_estimate,
     draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
@@ -11,6 +16,7 @@ from permcode.asymptotics import (
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
 )
+from permcode.cli import main
 from permcode.coding import CRITICAL_RATIO, CodingInstance, quantum_pmax_exact
 from permcode.young import log_dim_irrep, log_multiplicity, partition_count
 
@@ -148,6 +154,58 @@ def test_both_estimators_agree():
     b = pmax_estimate_schur_weyl(n, d, 20_000, seed=12)
     combined = math.hypot(a.stderr, b.stderr)
     assert abs(a.estimate - b.estimate) <= 4 * combined
+
+
+# ------------------------------------------ the draws split over processes
+
+@pytest.mark.parametrize("n, d, k, seed", [
+    (40, 15, 1_001, 2),  # not divisible by 2 or 3
+    (40, 15, 2, 9),  # fewer draws than three shares
+    (12, 5, DRAW_BLOCK + 5, 3),  # a second block of 5 draws
+    (40, 15, 1, 0),  # one draw, whose bar is the weight bound
+    (41, 1, 37, 4),  # d = 1: a single Schur-Weyl shape, and a zero bar
+    (30, 6, 2_000, 1),  # no informative Schur-Weyl draw: the rule-of-three bar
+    (2000, 200, 1, 0),  # a weight far below the float range
+])
+def test_split_estimates_equal_one_process(n, d, k, seed):
+    for method, alpha in (("plancherel-mc", PLANCHEREL_SHARE), ("schur-weyl-mc", 0.0)):
+        serial = _mixture_estimate(n, d, k, seed, alpha, method, 1)
+        for shares in (2, 3):
+            split = _mixture_estimate(n, d, k, seed, alpha, method, shares)
+            assert repr(split) == repr(serial), (method, shares)  # every float bit for bit
+    if (n, d) == (30, 6):
+        assert serial.informative == 0 and serial.ratio_stderr > 0
+
+
+@pytest.mark.parametrize("failure", ["dies", "sends nothing"])
+def test_failed_estimator_child_exits_2_and_is_reaped(monkeypatch, capsys, failure):
+    # the child runs the patched module state it was forked with
+    if failure == "dies":
+        monkeypatch.setattr(coding, "_send_totals", lambda fd, totals: os._exit(3))
+    else:
+        monkeypatch.setattr(coding, "_send_totals", lambda fd, totals: None)
+    monkeypatch.setattr(coding, "_usable_cpus", lambda: 2)
+    assert main(["pmax", "--method", "plancherel", "--n", "40", "--d", "15"]) == 2
+    assert "Monte Carlo draws" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_bad_estimator_arguments_raise_before_any_fork(monkeypatch):
+    class Forked(OSError):
+        pass
+
+    def fork():
+        raise Forked
+
+    monkeypatch.setattr(coding, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    for fn in (pmax_estimate_plancherel, pmax_estimate_schur_weyl):
+        with pytest.raises(Forked):  # valid arguments reach the fork
+            fn(40, 15, 10, 0)
+        for n, d, k in ((40, 0, 10), (40, 15, 0), (0, 15, 10)):
+            with pytest.raises(ValueError):
+                fn(n, d, k, 0)
 
 
 def test_critical_ratio_constant():

@@ -13,9 +13,9 @@ from permcode.cli import main
 from permcode.coding import (
     CodingInstance,
     _gap_side,
+    _over_shares,
     _receive_totals,
     _send_totals,
-    _sum_over_shares,
     balanced_color_classes,
     classical_success,
     info_bound,
@@ -336,7 +336,7 @@ def test_failed_parent_share_kills_and_reaps_children(error):
 
     started = time.monotonic()
     with pytest.raises(error):
-        _sum_over_shares(work, 3)
+        _over_shares(work, [1, 1, 1], "test work")
     assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
