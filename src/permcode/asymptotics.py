@@ -260,8 +260,8 @@ def _mixture_estimate(
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
 
     The draws are dealt into ``shares`` shares (``_draw_logs``), by default
-    one per usable CPU from N = SPLIT_FROM_N on, and summed here in draw
-    order, so the estimate is the same bit for bit at any share count.
+    one per usable CPU at any N, and summed here in draw order, so the
+    estimate is the same bit for bit at any share count.
     """
     if n < 1 or d < 1 or sample_count < 1:
         raise ValueError(f"need n, d, sample_count >= 1, got ({n}, {d}, {sample_count})")
@@ -275,7 +275,7 @@ def _mixture_estimate(
     total_sq = 0.0
     top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
-    shares = _share_count(n, sample_count, shares)
+    shares = _share_count(sample_count, shares)
     for log_dim, log_mult in _draw_logs(n, d, sample_count, seed, alpha, shares):
         informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
         if log_mult == neg_inf:

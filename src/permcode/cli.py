@@ -40,6 +40,7 @@ from .qsim import (
     build_gamma,
     build_n3_example,
     classical_channel_mc,
+    covariant_slack,
     orthogonality_check_n3,
     pgm_success,
     success_probability,
@@ -294,14 +295,14 @@ def cmd_sample(args: argparse.Namespace) -> None:
 
 
 def _verify_n3_checks() -> list[tuple[str, float, float]]:
-    psi, povm = build_n3_example()
+    psi, seed = build_n3_example()
     overlap_resid = max(
-        abs(abs(psi.conj() @ np.eye(8)[build_gamma(p, 3, 2)] @ psi) - 0.2)
+        abs(abs(psi.conj() @ psi[build_gamma(p, 3, 2)]) - 0.2)
         for p in all_perms(3) if p != (0, 1, 2)
     )
     # E_sigma sum to at most I: the slack I - sum E_sigma has no negative eigenvalue
-    slack = np.eye(8) - sum(povm.elements().values())
-    p_povm = success_probability(psi, povm)
+    slack = covariant_slack(seed, 3, 2)
+    p_povm = success_probability(psi, seed, 3, 2)
     orth = orthogonality_check_n3()
     relations = (orth["cross_irrep_residual"], orth["same_irrep_residual"], orth["alignment_residual"])
     # D/n! of the two-dimensional irrep of S_3
@@ -321,7 +322,7 @@ def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
     n, d = 3, 2
     dim = d**n
     perms = all_perms(n)
-    gammas = {p: np.eye(dim)[build_gamma(p, n, d)] for p in perms}
+    indices = {p: build_gamma(p, n, d) for p in perms}
     psi, _ = build_n3_example()
     max_cov = 0.0
     max_success_shift = 0.0
@@ -335,18 +336,15 @@ def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
         evals, evecs = np.linalg.eigh(total)
         inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
         raw = {p: inv_sqrt @ e @ inv_sqrt for p, e in zip(perms, raws)}
-        cov = symmetrize_povm(raw, n, d)
+        povm_seed = symmetrize_povm(raw, n, d)
         averaged = symmetrize_elements(raw, n, d)
-        for p, g in gammas.items():
-            max_cov = max(
-                max_cov,
-                float(np.abs(averaged[p] - g @ cov.seed_operator @ g.conj().T).max()),
-            )
+        for p, idx in indices.items():
+            max_cov = max(max_cov, float(np.abs(averaged[p] - povm_seed[np.ix_(idx, idx)]).max()))
         raw_success = sum(
-            np.real((g @ psi).conj() @ raw[p] @ (g @ psi)) for p, g in gammas.items()
+            np.real(psi[idx].conj() @ raw[p] @ psi[idx]) for p, idx in indices.items()
         ) / len(perms)
         max_success_shift = max(
-            max_success_shift, abs(success_probability(psi, cov) - raw_success)
+            max_success_shift, abs(success_probability(psi, povm_seed, n, d) - raw_success)
         )
     return [
         ("symmetrized-covariance", max_cov, 1e-12),

@@ -25,9 +25,9 @@ from .young import (
 #: Color ratio d/N separating the two asymptotic regimes.
 CRITICAL_RATIO = 1.0 / math.e
 
-#: Smallest N whose exact search, and whose Monte Carlo draws, are split over
-#: the usable CPUs.  Below it a search takes a few milliseconds, the order of
-#: what a fork and reaping the child cost.
+#: Smallest N whose exact search is split over the usable CPUs.  Below it a
+#: search takes a few milliseconds, the order of what a fork and reaping the
+#: child cost.
 SPLIT_FROM_N = 40
 
 #: Completion products the exact search keeps at once.  The cache starts over
@@ -135,9 +135,9 @@ def _gap_side(
     H * r! * prod_i (s_i + k + r - 1) / prod_i (s_i + k - 1).
 
     The first rows that pass the test are dealt round-robin into ``shares``
-    shares, by default one per usable CPU from N = SPLIT_FROM_N on.  Share 0
-    runs in this process and each other share in a forked child
-    (``_over_shares``).  Every partial result is an integer, so the split
+    shares, by default one per usable CPU from N = SPLIT_FROM_N on and one
+    below it.  Share 0 runs in this process and each other share in a forked
+    child (``_over_shares``).  Every partial result is an integer, so the split
     cannot change the sum.
 
     Returns (sum over the gap side of |m - D| * D, the number of searched
@@ -191,7 +191,7 @@ def _gap_side(
             break
         firsts.append(length)
 
-    shares = _share_count(n, len(firsts), shares)
+    shares = _share_count(len(firsts), 1 if shares is None and n < SPLIT_FROM_N else shares)
 
     def share(j: int) -> tuple[int, int, int, int, int]:
         gap = strict = ties = kept = pruned = 0
@@ -268,12 +268,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share_count(n: int, items: int, shares: int | None) -> int:
-    """How many shares ``items`` pieces of work on N = n boxes are dealt into:
-    ``shares``, by default one per usable CPU from N = SPLIT_FROM_N on, and
-    one without ``os.fork``; never more than the items, never fewer than one."""
+def _share_count(items: int, shares: int | None) -> int:
+    """How many shares ``items`` pieces of work are dealt into: ``shares``, by
+    default one per usable CPU, and one without ``os.fork``; never more than
+    the items, never fewer than one."""
     if shares is None:
-        shares = _usable_cpus() if n >= SPLIT_FROM_N else 1
+        shares = _usable_cpus()
     if not hasattr(os, "fork"):
         shares = 1
     return max(1, min(shares, items))

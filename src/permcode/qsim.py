@@ -7,17 +7,18 @@ classical-channel Monte Carlo.
 A state is a plain vector of d^N amplitudes, and a permutation operator
 Gamma(sigma) the index array idx that permutes the d^N basis states:
 Gamma x = x[idx] and Gamma M Gamma^dagger = M[idx, idx].  The dense matrix,
-np.eye(d^N)[idx], is never built here.  One orbit core, ``_orbit``, gives both
-sides of the optimum from a generic state psi: the rank of its orbit bounds
-every signal (``orbit_rank``), and the tight frame S^(-1/2) psi reaches that
-bound (``build_optimal_signal``).  It reads no character, hook or content.
+np.eye(d^N)[idx], is never built here.  A covariant POVM is its seed operator
+E, a d^N x d^N array, whose element for sigma is E[idx, idx].  One orbit
+core, ``_orbit``, gives both sides of the optimum from a generic state psi:
+the rank of its orbit bounds every signal (``orbit_rank``), and the tight
+frame S^(-1/2) psi reaches that bound (``build_optimal_signal``).  It reads
+no character, hook or content.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,24 +47,6 @@ def invert(p: Perm) -> Perm:
     for i, pi in enumerate(p):
         inv[pi] = i
     return tuple(inv)
-
-
-@dataclass
-class CovariantPovm:
-    """POVM generated from a seed operator by conjugation with all Gamma(sigma),
-    plus a completion operator on the subspace the elements do not span."""
-
-    seed_operator: np.ndarray
-    completion: np.ndarray
-    n: int
-    d: int
-
-    def element(self, perm: Perm) -> np.ndarray:
-        idx = build_gamma(perm, self.n, self.d)
-        return self.seed_operator[np.ix_(idx, idx)]
-
-    def elements(self) -> dict[Perm, np.ndarray]:
-        return {p: self.element(p) for p in all_perms(self.n)}
 
 
 def _dense_dim(n: int, d: int) -> int:
@@ -146,27 +129,37 @@ def n3_irrep_basis() -> dict[str, np.ndarray]:
     return basis
 
 
-def build_n3_example() -> tuple[np.ndarray, CovariantPovm]:
+def build_n3_example() -> tuple[np.ndarray, np.ndarray]:
     """The three-box, two-color example: signal state psi with equal overlap
-    1/5 under every non-identity permutation, and the covariant POVM built from it."""
+    1/5 under every non-identity permutation, and the seed (5/6)|psi><psi| of
+    the covariant POVM built from it."""
     b = n3_irrep_basis()
     psi = np.sqrt(1 / 5) * b["sym0"] + np.sqrt(2 / 5) * b["1,1"] + np.sqrt(2 / 5) * b["2,2"]
     # dim W = 5: one symmetric copy plus both two-dimensional copies
-    seed = (5 / 6) * np.outer(psi, psi.conj())
-    povm = _complete_covariant(seed, n=3, d=2)
-    return psi, povm
+    return psi, (5 / 6) * np.outer(psi, psi.conj())
 
 
-def _complete_covariant(seed: np.ndarray, n: int, d: int) -> CovariantPovm:
-    total = sum(seed[np.ix_(idx, idx)] for idx in _gamma_indices(n, d))
-    completion = np.eye(d**n) - total
-    # the elements sum to at most I exactly when the completion is PSD
-    evals = np.linalg.eigvalsh((completion + completion.conj().T) / 2)
-    if evals.min() < -COMPLETENESS_TOL:
-        raise InternalInvariantError(
-            f"covariant completion not PSD: min eigenvalue {evals.min():.3e}"
-        )
-    return CovariantPovm(seed_operator=seed, completion=completion, n=n, d=d)
+def _check_shape(name: str, array: np.ndarray, shape: tuple[int, ...], n: int, d: int) -> None:
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, not {shape} for n={n}, d={d}")
+
+
+def covariant_slack(seed: np.ndarray, n: int, d: int) -> np.ndarray:
+    """I - sum over sigma of Gamma(sigma) seed Gamma(sigma)^dagger, what the
+    covariant POVM of the d^n x d^n ``seed`` leaves to a completion.  Its
+    elements sum to at most I exactly when the slack is PSD."""
+    _check_shape("seed", seed, (d**n, d**n), n, d)
+    return np.eye(d**n) - sum(seed[np.ix_(idx, idx)] for idx in _gamma_indices(n, d))
+
+
+def _averaged(
+    raw_elements: dict[Perm, np.ndarray], n: int, d: int, outcomes: list[Perm]
+) -> dict[Perm, np.ndarray]:
+    """E'_t = (1/n!) sum over s of Gamma(s)^dagger E_{s o t} Gamma(s) for each
+    t of ``outcomes``."""
+    inverse = [(s, build_gamma(invert(s), n, d)) for s in all_perms(n)]  # Gamma(s)^dagger = Gamma(s^-1)
+    nfact = math.factorial(n)
+    return {t: sum(raw_elements[compose(s, t)][np.ix_(inv, inv)] for s, inv in inverse) / nfact for t in outcomes}
 
 
 def symmetrize_elements(
@@ -174,55 +167,42 @@ def symmetrize_elements(
 ) -> dict[Perm, np.ndarray]:
     """Group-averaged measurement operators, one per outcome:
     E'_t = (1/n!) sum over s of Gamma(s)^dagger E_{s o t} Gamma(s)."""
-    perms = all_perms(n)
-    nfact = math.factorial(n)
-    # Gamma(s)^dagger = Gamma(s^-1)
-    inverse = {s: build_gamma(invert(s), n, d) for s in perms}
-    out = {}
-    for t in perms:
-        acc = np.zeros_like(next(iter(raw_elements.values())), dtype=complex)
-        for s in perms:
-            acc += raw_elements[compose(s, t)][np.ix_(inverse[s], inverse[s])]
-        out[t] = acc / nfact
-    return out
+    return _averaged(raw_elements, n, d, all_perms(n))
 
 
-def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> CovariantPovm:
-    """Group-average a POVM indexed by permutations into a covariant one.
-
-    The averaged POVM gives the same success probability on the covariant
-    ensemble and satisfies element(p) = Gamma(p) seed Gamma(p)^dagger.
+def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> np.ndarray:
+    """Group-average a POVM indexed by permutations into the seed of a
+    covariant one, the identity's element of ``symmetrize_elements``: each
+    averaged element is E'_t = Gamma(t) seed Gamma(t)^dagger, and they give
+    the same success probability on the covariant ensemble.  The raw elements
+    must be PSD and sum to I, every eigenvalue of their sum minus I within
+    ``COMPLETENESS_TOL``.
     """
-    dim = d**n
-    perms = all_perms(n)
-    if set(raw_elements) != set(perms):
+    if set(raw_elements) != set(all_perms(n)):
         raise ValueError("raw POVM must have exactly one element per permutation")
-    total = sum(raw_elements.values())
-    if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
+    # the largest singular value: the largest |eigenvalue| of a Hermitian sum
+    if np.linalg.norm(sum(raw_elements.values()) - np.eye(d**n), 2) > COMPLETENESS_TOL:
         raise ValueError("raw POVM elements do not sum to the identity")
     for p, e in raw_elements.items():
         if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -1e-9:
             raise ValueError(f"raw POVM element for {p} is not PSD")
-    nfact = math.factorial(n)
-    seed = np.zeros((dim, dim), dtype=complex)
-    for p in perms:
-        inv = build_gamma(invert(p), n, d)
-        seed += raw_elements[p][np.ix_(inv, inv)]
-    seed /= nfact
-    return _complete_covariant(seed, n, d)
+    identity = tuple(range(n))
+    seed = _averaged(raw_elements, n, d, [identity])[identity]
+    slack = covariant_slack(seed, n, d)
+    evals = np.linalg.eigvalsh((slack + slack.conj().T) / 2)
+    if evals.min() < -COMPLETENESS_TOL:
+        raise InternalInvariantError(f"covariant completion not PSD: min eigenvalue {evals.min():.3e}")
+    return seed
 
 
-def success_probability(psi: np.ndarray, povm: CovariantPovm) -> float:
-    """Average probability of identifying a uniformly random permutation:
+def success_probability(psi: np.ndarray, seed: np.ndarray, n: int, d: int) -> float:
+    """Average probability of identifying a uniformly random permutation with
+    the covariant POVM of ``seed``, E_sigma = Gamma(sigma) seed Gamma(sigma)^dagger:
     (1/n!) sum over sigma of <psi| Gamma(sigma)^dagger E_sigma Gamma(sigma) |psi>.
-    ``psi`` must have the d^n amplitudes of the POVM's space."""
-    n, d = povm.n, povm.d
-    if psi.shape != (d**n,):
-        raise ValueError(f"psi has shape {psi.shape}, not ({d**n},) for n={n}, d={d}")
-    total = 0.0 + 0.0j
-    for p in all_perms(n):
-        gpsi = psi[build_gamma(p, n, d)]
-        total += gpsi.conj() @ povm.element(p) @ gpsi
+    ``psi`` must have d^n amplitudes and ``seed`` be d^n x d^n."""
+    _check_shape("psi", psi, (d**n,), n, d)
+    _check_shape("seed", seed, (d**n, d**n), n, d)
+    total = sum(psi[idx].conj() @ seed[np.ix_(idx, idx)] @ psi[idx] for idx in _gamma_indices(n, d))
     total /= math.factorial(n)
     if abs(total.imag) > 1e-12:
         raise InternalInvariantError(f"success probability has imaginary part {total.imag:.3e}")
@@ -294,8 +274,7 @@ def pgm_success(psi: np.ndarray, n: int, d: int) -> float:
     representation, so every diagonal entry of G^(1/2) is tr G^(1/2) / n!.
     ``psi`` must have d^n amplitudes.
     """
-    if psi.shape != (d**n,):
-        raise ValueError(f"psi has shape {psi.shape}, not ({d**n},) for n={n}, d={d}")
+    _check_shape("psi", psi, (d**n,), n, d)
     evals, kept, _ = _orbit(psi, n, d)
     return float((np.sqrt(evals[kept]).sum() / math.factorial(n)) ** 2)
 

@@ -203,6 +203,8 @@ def test_bad_estimator_arguments_raise_before_any_fork(monkeypatch):
     for fn in (pmax_estimate_plancherel, pmax_estimate_schur_weyl):
         with pytest.raises(Forked):  # valid arguments reach the fork
             fn(40, 15, 10, 0)
+        with pytest.raises(Forked):  # at any N
+            fn(30, 15, 10, 0)
         for n, d, k in ((40, 0, 10), (40, 15, 0), (0, 15, 10)):
             with pytest.raises(ValueError):
                 fn(n, d, k, 0)

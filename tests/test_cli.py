@@ -13,7 +13,7 @@ from permcode import cli
 from permcode.asymptotics import McEstimate
 from permcode.cli import _int_str, dec_str, main, sweep
 from permcode.coding import info_bound
-from permcode.qsim import CovariantPovm, build_n3_example
+from permcode.qsim import build_n3_example
 
 
 def run_cli(capsys, argv):
@@ -465,13 +465,10 @@ def test_verify_all_json(capsys):
 
 
 def test_verify_completeness_fails_for_elements_above_identity(capsys, monkeypatch):
-    # a doubled seed: its elements sum to 2 * (I - C), with top eigenvalue 2.
-    # Its completion I - 2 * (I - C) makes the sum I exactly, so only the
-    # elements themselves can show that they exceed I.
-    psi, povm = build_n3_example()
-    completion = 2 * povm.completion - np.eye(8)
-    doubled = CovariantPovm(seed_operator=2 * povm.seed_operator, completion=completion, n=3, d=2)
-    monkeypatch.setattr(cli, "build_n3_example", lambda: (psi, doubled))
+    # a doubled seed: its elements sum to 2 * (I - C), with top eigenvalue 2,
+    # so the slack I - 2 * (I - C) has eigenvalue -1
+    psi, seed = build_n3_example()
+    monkeypatch.setattr(cli, "build_n3_example", lambda: (psi, 2 * seed))
     code, out, _ = run_cli(capsys, ["verify", "--suite", "n3"])
     assert code == 2
     rows = {c["check_name"]: c for c in json.loads(out)["rows"]}

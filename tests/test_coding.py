@@ -342,6 +342,21 @@ def test_failed_parent_share_kills_and_reaps_children(error):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_exact_search_splits_from_n_40_on(monkeypatch):
+    class Forked(OSError):
+        pass
+
+    def fork():
+        raise Forked
+
+    monkeypatch.setattr(coding, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    for d in (10, 15):  # below and above the critical ratio
+        quantum_pmax_exact(CodingInstance(39, d))  # one share, in process
+    with pytest.raises(Forked):
+        quantum_pmax_exact(CodingInstance(40, 15))
+
+
 def test_one_share_runs_in_process(monkeypatch):
     expected = quantum_pmax_exact(CodingInstance(40, 15))
     monkeypatch.setattr(coding, "_usable_cpus", lambda: 1)

@@ -9,9 +9,7 @@ import pytest
 from permcode import qsim
 from permcode.coding import CodingInstance, balanced_color_classes, classical_success, quantum_pmax_exact
 from permcode.qsim import (
-    CovariantPovm,
     _color_counts,
-    _complete_covariant,
     _gamma_index,
     _gamma_indices,
     all_perms,
@@ -20,6 +18,7 @@ from permcode.qsim import (
     build_optimal_signal,
     classical_channel_mc,
     compose,
+    covariant_slack,
     invert,
     n3_irrep_basis,
     orbit_rank,
@@ -121,8 +120,6 @@ def test_gamma_index_application_and_conjugation(n, d):
         assert np.array_equal(x[idx], g @ x)
         assert np.allclose(m[np.ix_(idx, idx)], g @ m @ g.conj().T, rtol=0, atol=1e-12)
         assert np.allclose(m[np.ix_(inv, inv)], g.conj().T @ m @ g, rtol=0, atol=1e-12)
-        povm = CovariantPovm(seed_operator=m, completion=np.zeros((dim, dim)), n=n, d=d)
-        assert np.array_equal(povm.element(p), m[np.ix_(idx, idx)])
 
 
 def test_weight_sectors_partition_the_basis():
@@ -160,48 +157,57 @@ def test_n3_signal_overlaps():
             assert abs(ov - 1 / 5) < 1e-12
 
 
+def _elements(seed, n, d):
+    """The covariant POVM of ``seed``, one element per permutation."""
+    return {p: seed[np.ix_(idx, idx)] for p, idx in zip(all_perms(n), _gamma_indices(n, d))}
+
+
 def test_n3_povm_is_valid():
-    _, povm = build_n3_example()
-    total = sum(povm.elements().values()) + povm.completion
-    assert np.abs(total - np.eye(8)).max() < 1e-10
-    for e in povm.elements().values():
+    _, seed = build_n3_example()
+    elements = _elements(seed, 3, 2)
+    slack = covariant_slack(seed, 3, 2)
+    assert np.abs(sum(elements.values()) + slack - np.eye(8)).max() < 1e-10
+    for e in elements.values():
         assert np.linalg.eigvalsh((e + e.conj().T) / 2).min() > -1e-12
-    assert np.linalg.eigvalsh((povm.completion + povm.completion.conj().T) / 2).min() > -1e-12
-    # completion projects onto the 3-dim complement of the 5-dim optimal subspace
-    assert np.trace(povm.completion).real == pytest.approx(3.0, abs=1e-10)
+    assert np.linalg.eigvalsh((slack + slack.conj().T) / 2).min() > -1e-12
+    # the slack projects onto the 3-dim complement of the 5-dim optimal subspace
+    assert np.trace(slack).real == pytest.approx(3.0, abs=1e-10)
 
 
 def test_n3_success_probability():
-    psi, povm = build_n3_example()
-    assert success_probability(psi, povm) == pytest.approx(5 / 6, abs=1e-10)
+    psi, seed = build_n3_example()
+    assert success_probability(psi, seed, 3, 2) == pytest.approx(5 / 6, abs=1e-10)
 
 
 def test_n3_covariant_success_equals_seed_expectation():
-    psi, povm = build_n3_example()
-    seed_expect = float(np.real(psi.conj() @ povm.seed_operator @ psi))
-    assert abs(success_probability(psi, povm) - seed_expect) < 1e-12
+    psi, seed = build_n3_example()
+    seed_expect = float(np.real(psi.conj() @ seed @ psi))
+    assert abs(success_probability(psi, seed, 3, 2) - seed_expect) < 1e-12
 
 
 def test_success_random_guessing():
-    dim = 8
-    seed = np.eye(dim) / 6
-    povm = CovariantPovm(seed_operator=seed, completion=np.zeros((dim, dim)), n=3, d=2)
     psi, _ = build_n3_example()
-    assert success_probability(psi, povm) == pytest.approx(1 / 6, abs=1e-12)
+    assert success_probability(psi, np.eye(8) / 6, 3, 2) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_success_perfect_classical_code_n2():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0  # up-down
-    povm = _complete_covariant(np.outer(psi, psi.conj()), 2, 2)
-    assert success_probability(psi, povm) == pytest.approx(1.0, abs=1e-12)
+    seed = np.outer(psi, psi.conj())
+    assert np.linalg.eigvalsh(covariant_slack(seed, 2, 2)).min() > -1e-12
+    assert success_probability(psi, seed, 2, 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_completion_of_elements_above_identity_raises():
-    # a doubled seed sums to more than I, so its completion is not PSD
-    _, povm = build_n3_example()
+def test_completion_of_elements_above_identity_raises(monkeypatch):
+    # a doubled seed sums to more than I, so its slack is not PSD; the guard
+    # of symmetrize_povm is reached only if the slack of a valid input is wrong,
+    # here that of the doubled seed
+    _, seed = build_n3_example()
+    assert np.linalg.eigvalsh(covariant_slack(2 * seed, 3, 2)).min() == pytest.approx(-1.0, abs=1e-9)
+    raw = {p: np.eye(8) / 6 for p in all_perms(3)}
+    monkeypatch.setattr(qsim, "covariant_slack", lambda s, n, d: covariant_slack(2 * s, n, d))
     with pytest.raises(InternalInvariantError, match="not PSD"):
-        _complete_covariant(2 * povm.seed_operator, 3, 2)
+        symmetrize_povm(raw, 3, 2)
 
 
 # --------------------------------------------------------- symmetrization
@@ -219,24 +225,24 @@ def _random_povm(rng, n, d):
 
 
 def test_symmetrize_fixed_point():
-    _, povm = build_n3_example()
-    raw = povm.elements()
-    raw[(0, 1, 2)] = raw[(0, 1, 2)] + povm.completion  # fold in the completion
-    # a covariant POVM is unchanged apart from the completion bookkeeping
-    out = symmetrize_povm({p: e for p, e in raw.items()}, 3, 2)
-    expected_seed = povm.seed_operator + povm.completion / 6
-    assert np.abs(out.seed_operator - expected_seed).max() < 1e-12
+    _, seed = build_n3_example()
+    slack = covariant_slack(seed, 3, 2)
+    raw = _elements(seed, 3, 2)
+    raw[(0, 1, 2)] = raw[(0, 1, 2)] + slack  # fold in the completion
+    # a covariant POVM is unchanged apart from the completion it absorbs
+    out = symmetrize_povm(raw, 3, 2)
+    assert np.abs(out - (seed + slack / 6)).max() < 1e-12
 
 
 def test_symmetrize_random_povm_covariance_and_success():
     rng = np.random.default_rng(5)
     psi, _ = build_n3_example()
     raw = _random_povm(rng, 3, 2)
-    cov = symmetrize_povm(raw, 3, 2)
+    seed = symmetrize_povm(raw, 3, 2)
     averaged = symmetrize_elements(raw, 3, 2)
     for p in all_perms(3):
         g = np.eye(8)[build_gamma(p, 3, 2)]
-        assert np.abs(averaged[p] - g @ cov.seed_operator @ g.conj().T).max() < 1e-12
+        assert np.abs(averaged[p] - g @ seed @ g.conj().T).max() < 1e-12
     raw_success = np.mean(
         [
             np.real(
@@ -247,7 +253,7 @@ def test_symmetrize_random_povm_covariance_and_success():
             for p in all_perms(3)
         ]
     )
-    assert abs(success_probability(psi, cov) - raw_success) < 1e-12
+    assert abs(success_probability(psi, seed, 3, 2) - raw_success) < 1e-12
 
 
 def test_symmetrize_projective_n2():
@@ -257,13 +263,23 @@ def test_symmetrize_projective_n2():
         (0, 1): np.outer(kets[0], kets[0]) + np.outer(kets[1], kets[1]),
         (1, 0): np.outer(kets[2], kets[2]) + np.outer(kets[3], kets[3]),
     }
-    cov = symmetrize_povm(raw, 2, 2)
-    total = sum(cov.elements().values()) + cov.completion
-    assert np.abs(total - np.eye(4)).max() < 1e-10
+    seed = symmetrize_povm(raw, 2, 2)
+    # |00>, |11> split evenly between the outcomes, |01> and |10> each to one
+    assert np.abs(seed - np.diag([0.5, 1.0, 0.0, 0.5])).max() < 1e-12
+    # so the covariant POVM is complete: its slack vanishes
+    assert np.abs(covariant_slack(seed, 2, 2)).max() < 1e-10
 
 
 def test_symmetrize_rejects_incomplete_input():
     raw = {p: np.eye(8) / 7 for p in all_perms(3)}
+    with pytest.raises(ValueError, match="identity"):
+        symmetrize_povm(raw, 3, 2)
+
+
+def test_symmetrize_rejects_sum_above_identity_in_eigenvalue():
+    # every entry of the sum is within 1e-10 of I, but the all-ones matrix J
+    # has eigenvalue 8, so the sum exceeds I by 7.2e-10 in one direction
+    raw = {p: (np.eye(8) + 0.9e-10 * np.ones((8, 8))) / 6 for p in all_perms(3)}
     with pytest.raises(ValueError, match="identity"):
         symmetrize_povm(raw, 3, 2)
 
@@ -279,9 +295,9 @@ def test_symmetrize_rejects_non_psd():
 # ------------------------------------------------------------------- PGM
 
 def test_pgm_n3_example():
-    psi, povm = build_n3_example()
+    psi, seed = build_n3_example()
     assert pgm_success(psi, 3, 2) == pytest.approx(5 / 6, abs=1e-8)
-    assert abs(pgm_success(psi, 3, 2) - success_probability(psi, povm)) < 1e-8
+    assert abs(pgm_success(psi, 3, 2) - success_probability(psi, seed, 3, 2)) < 1e-8
 
 
 def test_pgm_orthogonal_ensemble():
@@ -485,8 +501,18 @@ def test_classical_channel_rejects_bad_trials():
 def test_dimension_mismatch_rejected():
     # n and d must describe the vector: an 8-amplitude state is not a (2, 2) state
     psi, _ = build_n3_example()
-    povm = CovariantPovm(seed_operator=np.eye(4) / 2, completion=np.zeros((4, 4)), n=2, d=2)
     with pytest.raises(ValueError, match="shape"):
-        success_probability(psi, povm)
+        success_probability(psi, np.eye(4) / 2, 2, 2)
     with pytest.raises(ValueError, match="shape"):
         pgm_success(np.ones(8) / np.sqrt(8), 2, 2)
+
+
+def test_seed_shape_rejected():
+    # a 16 x 16 seed holding the N=3 seed in its top-left block is not a (3, 2) seed
+    psi, seed = build_n3_example()
+    padded = np.zeros((16, 16), dtype=complex)
+    padded[:8, :8] = seed
+    with pytest.raises(ValueError, match="seed has shape"):
+        success_probability(psi, padded, 3, 2)
+    with pytest.raises(ValueError, match="seed has shape"):
+        covariant_slack(padded, 3, 2)
