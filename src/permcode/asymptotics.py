@@ -12,10 +12,11 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .coding import _over_shares, _share_count
 from .young import (
+    check_enumerable,
     enumerate_partitions,
     log_dim_irrep,
     log_multiplicity,
@@ -32,6 +33,9 @@ PLANCHEREL_SHARE = 0.99
 
 #: Miss probability of the rule-of-three bar reported when no draw was informative.
 RULE_OF_THREE_MISS = 0.05
+
+#: Slack above which a Kerov-type tail bound counts as violated, beyond roundoff.
+KEROV_TOL = 1e-12
 
 #: Draws an estimator deals over its shares at a time: the parent holds the
 #: two log values of at most this many draws, whatever the sample count.
@@ -65,6 +69,8 @@ class McEstimate:
     # draws from the diagrams that carry the gap between the estimate and its
     # trivial bound; with none, ratio_stderr is the rule-of-three bound
     informative: int
+    # which error bar ratio_stderr is, as the report names it
+    bar: str
 
     @property
     def estimate(self) -> float:
@@ -88,26 +94,42 @@ def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
     return log_dim_irrep(rows), log_multiplicity(rows, d)
 
 
-def kerov_bound_check(n: int, cap: int | None = None) -> BoundCheckReport:
-    """Verify, for every diagram of n, the Plancherel tail bound
-    mu(rho) <= exp(-2 * c1 * (ln(c1/sqrt(n)) - 1)) with c1 the first-column
-    length.  The bound is vacuous when the right side is >= 1."""
-    lg_nfact = math.lgamma(n + 1)
-    sqrt_n = math.sqrt(n)
+def _tally(slacks: Iterable[float | None], violated: Callable[[float], bool]) -> BoundCheckReport:
+    """The report of one bound check from the log-domain slack lhs - rhs of
+    each case, None where the bound is vacuous.  A slack of -inf (a case of
+    weight 0) is checked, never violated, and leaves max_slack as it is."""
     report = BoundCheckReport(checked=0, violations=0, vacuous=0, max_slack=float("-inf"))
-    for rows in enumerate_partitions(n, cap=cap):
+    for slack in slacks:
         report.checked += 1
-        col1 = len(rows)
-        rhs = -2.0 * col1 * (math.log(col1 / sqrt_n) - 1.0)
-        if rhs >= 0.0:
+        if slack is None:
             report.vacuous += 1
-            continue
-        lhs = 2.0 * log_dim_irrep(rows) - lg_nfact  # ln mu(rho)
-        slack = lhs - rhs
-        report.max_slack = max(report.max_slack, slack)
-        if slack > 1e-12:
-            report.violations += 1
+        else:
+            report.max_slack = max(report.max_slack, slack)
+            report.violations += violated(slack)
     return report
+
+
+def kerov_bound_check(n_max: int, cap: int | None = None) -> BoundCheckReport:
+    """Verify, for every diagram of every n <= n_max, the Plancherel tail
+    bound mu(rho) <= exp(-2 * c1 * (ln(c1/sqrt(n)) - 1)) with c1 the
+    first-column length.  The bound is vacuous when the right side is >= 1."""
+    check_enumerable(n_max, cap)
+
+    def slacks() -> Iterator[float | None]:
+        for n in range(1, n_max + 1):
+            lg_nfact, sqrt_n = math.lgamma(n + 1), math.sqrt(n)
+            for rows in enumerate_partitions(n, cap=cap):
+                rhs = -2.0 * len(rows) * (math.log(len(rows) / sqrt_n) - 1.0)
+                yield None if rhs >= 0.0 else 2.0 * log_dim_irrep(rows) - lg_nfact - rhs  # ln mu(rho) - rhs
+
+    return _tally(slacks(), KEROV_TOL.__lt__)
+
+
+def check_row_bound_args(n: int, d: int, cap: int | None = None) -> None:
+    """Raise ValueError unless ``kerov_row_bound_check(n, d, cap)`` may run."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n, d >= 1, got ({n}, {d})")
+    check_enumerable(n, cap)
 
 
 def kerov_row_bound_check(n: int, d: int, cap: int | None = None) -> BoundCheckReport:
@@ -115,47 +137,37 @@ def kerov_row_bound_check(n: int, d: int, cap: int | None = None) -> BoundCheckR
     mu(rho) <= exp(-r1 * (2 * (ln(r1/sqrt(n)) - 1) - 1/(2r))) with r1 the
     first-row length and r = d/n.  Stated asymptotically, so violations are
     reported, not asserted."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n, d >= 1, got ({n}, {d})")
+    check_row_bound_args(n, d, cap)
     try:
         r = d / n
     except OverflowError:  # d/n beyond the float range, where 1/(2r) is 0
         r = math.inf
-    sqrt_n = math.sqrt(n)
-    log_dn = n * math.log(d)
-    report = BoundCheckReport(checked=0, violations=0, vacuous=0, max_slack=float("-inf"))
-    for rows in enumerate_partitions(n, cap=cap):
-        report.checked += 1
-        row1 = rows[0]
-        rhs = -row1 * (2.0 * (math.log(row1 / sqrt_n) - 1.0) - 1.0 / (2.0 * r))
+    sqrt_n, log_dn = math.sqrt(n), n * math.log(d)
+
+    def slack(rows: tuple[int, ...]) -> float | None:
+        rhs = -rows[0] * (2.0 * (math.log(rows[0] / sqrt_n) - 1.0) - 1.0 / (2.0 * r))
         if rhs >= 0.0:
-            report.vacuous += 1
-            continue
-        log_dim, log_mult = _log_dim_mult(rows, d)
-        if log_mult == float("-inf"):
-            continue  # weight 0, trivially below any bound
-        lhs = log_dim + log_mult - log_dn  # ln of the Schur-Weyl weight
-        slack = lhs - rhs
-        report.max_slack = max(report.max_slack, slack)
-        if slack > 1e-12:
-            report.violations += 1
-    return report
+            return None
+        log_dim, log_mult = _log_dim_mult(rows, d)  # ln m = -inf at weight 0
+        return log_dim + log_mult - log_dn - rhs  # ln of the Schur-Weyl weight - rhs
+
+    return _tally(map(slack, enumerate_partitions(n, cap=cap)), KEROV_TOL.__lt__)
 
 
-def erdos_bound_check(n_max: int, erdos_c: float = HARDY_RAMANUJAN_C) -> BoundCheckReport:
-    """Check p(n) < exp(C * sqrt(n)) for every n up to n_max, with exact p(n)."""
+def check_growth_bound_args(n_max: int, erdos_c: float) -> None:
+    """Raise ValueError unless ``erdos_bound_check(n_max, erdos_c)`` may run."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if math.isnan(erdos_c):
         raise ValueError("the growth constant must be a number, got nan")
-    report = BoundCheckReport(checked=0, violations=0, vacuous=0, max_slack=float("-inf"))
-    for n in range(1, n_max + 1):
-        report.checked += 1
-        slack = math.log(partition_count(n)) - erdos_c * math.sqrt(n)
-        report.max_slack = max(report.max_slack, slack)
-        if slack >= 0.0:
-            report.violations += 1
-    return report
+
+
+def erdos_bound_check(n_max: int, erdos_c: float = HARDY_RAMANUJAN_C) -> BoundCheckReport:
+    """Check p(n) < exp(C * sqrt(n)) for every n up to n_max, with exact p(n):
+    a slack of 0 or more is a violation."""
+    check_growth_bound_args(n_max, erdos_c)
+    slacks = (math.log(partition_count(n)) - erdos_c * math.sqrt(n) for n in range(1, n_max + 1))
+    return _tally(slacks, (0.0).__le__)
 
 
 def _mean_stderr(values_sum: float, values_sumsq: float, k: int) -> tuple[float, float]:
@@ -258,6 +270,7 @@ def _mixture_estimate(
     mass times the weight bound.  A single draw shows no spread, so its error
     bar is the weight bound itself.  Only where q puts all its mass on one
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
+    ``bar`` names which of these error bars the estimate reports.
 
     The draws are dealt into ``shares`` shares (``_draw_logs``), by default
     one per usable CPU at any N, and summed here in draw order, so the
@@ -303,12 +316,15 @@ def _mixture_estimate(
         log_scale += peak
         total, total_sq = rel * math.exp(top - peak), rel_sq * math.exp(2 * (top - peak))
     ratio, ratio_stderr = _mean_stderr(total, total_sq, sample_count)
-    if not single_shape and (informative == 0 or sample_count == 1):
+    if single_shape or (informative and sample_count > 1):
+        bar = "sampled error bar" if informative else "one possible shape, exact"
+    else:
         unseen_mass = 1.0 if sample_count == 1 else 1.0 - RULE_OF_THREE_MISS ** (1.0 / sample_count)
         ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap - log_scale) * unseen_mass)
+        bar = "one draw, weight-bound error bar" if sample_count == 1 else "rule-of-three error bar"
     return McEstimate(
-        n=n, d=d, samples=sample_count, seed=seed, method=method,
-        ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative,
+        n=n, d=d, samples=sample_count, seed=seed, method=method, ratio=ratio,
+        ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative, bar=bar,
     )
 
 

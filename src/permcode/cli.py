@@ -26,6 +26,8 @@ from .asymptotics import (
     HARDY_RAMANUJAN_C,
     BoundCheckReport,
     McEstimate,
+    check_growth_bound_args,
+    check_row_bound_args,
     draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
@@ -228,18 +230,10 @@ def cmd_pmax(args: argparse.Namespace) -> None:
     row = {"n": args.n, "d": args.d, **_quantum_columns(inst, result)}
     if isinstance(result, McEstimate):
         row.update(dim_w="", informative_draws=result.informative)
-        if result.samples == 1 and result.ratio_stderr:
-            bar_kind = "one draw, weight-bound error bar"
-        elif result.informative:
-            bar_kind = "sampled error bar"
-        elif result.ratio_stderr:
-            bar_kind = "rule-of-three error bar"
-        else:
-            bar_kind = "one possible shape, exact"
         lines = [
             f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({result.method})",
             f"sampled_mean = {dec_str(result.ratio)} +/- {dec_str(result.ratio_stderr)}",
-            f"informative_draws = {result.informative} of {result.samples} ({bar_kind})",
+            f"informative_draws = {result.informative} of {result.samples} ({result.bar})",
         ]
     else:
         row.update(dim_w=result.dim_w, informative_draws="")
@@ -382,32 +376,26 @@ def verify_checks(suite: str, seed: int) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> None:
     checks = verify_checks(args.suite, args.seed)
-    lines = [
-        f"{'PASS' if c['pass'] else 'FAIL'} {c['check_name']}: "
-        f"residual {c['max_residual']:.3e} (tol {c['tolerance']:.0e})"
-        for c in checks
-    ]
     if args.format == "table":
         args.format = "json"  # verification reports are JSON by default
-    _emit(args, _meta(args, {"suite": args.suite}), checks, lines)
+    _emit(args, _meta(args, {"suite": args.suite}), checks, [])
     if not all(c["pass"] for c in checks):
         raise InternalInvariantError("verification suite reported failures")
 
 
 def cmd_bounds(args: argparse.Namespace) -> None:
     cap = _resolve_cap(args)
+    # every argument is checked before the first check runs
     if args.kerov_n < 1:
         raise ValueError(f"--kerov-n must be >= 1, got {args.kerov_n}")
-    check_enumerable(args.kerov_n, cap)  # before checking every n below it
-    reports = []
-    for n in range(1, args.kerov_n + 1):
-        reports.append(kerov_bound_check(n, cap=cap))
-    row_rep = kerov_row_bound_check(args.kerov_row_n, args.kerov_row_d, cap=cap)
-    erdos = erdos_bound_check(args.erdos_n, args.c)
+    check_enumerable(args.kerov_n, cap)
+    row_n, row_d = args.kerov_row_n, args.kerov_row_d
+    check_row_bound_args(row_n, row_d, cap)
+    check_growth_bound_args(args.erdos_n, args.c)
     rows = [
-        _bound_row("plancherel-column-tail", f"n<={args.kerov_n}", reports),
-        _bound_row("schur-weyl-row-tail", f"n={args.kerov_row_n},d={args.kerov_row_d}", [row_rep]),
-        _bound_row("partition-count-growth", f"n<={args.erdos_n}", [erdos]),
+        _bound_row("plancherel-column-tail", f"n<={args.kerov_n}", kerov_bound_check(args.kerov_n, cap)),
+        _bound_row("schur-weyl-row-tail", f"n={row_n},d={row_d}", kerov_row_bound_check(row_n, row_d, cap)),
+        _bound_row("partition-count-growth", f"n<={args.erdos_n}", erdos_bound_check(args.erdos_n, args.c)),
     ]
     lines = [
         f"{r['check']} ({r['range']}): "
@@ -421,17 +409,12 @@ def cmd_bounds(args: argparse.Namespace) -> None:
     _emit(args, _meta(args, {"c": args.c}, cap), rows, lines)
 
 
-def _bound_row(check: str, span: str, reports: list[BoundCheckReport]) -> dict:
+def _bound_row(check: str, span: str, report: BoundCheckReport) -> dict:
     """One output row of `bounds`.  A row whose every case is vacuous tested
     nothing, so it gives that count instead of violations=0 and a slack of -inf."""
-    vacuous = sum(r.vacuous for r in reports)
-    if vacuous == sum(r.checked for r in reports):
-        return {"check": check, "range": span, "vacuous": vacuous}
-    return {
-        "check": check, "range": span,
-        "violations": sum(r.violations for r in reports),
-        "max_slack": dec_str(max(r.max_slack for r in reports)),
-    }
+    if report.vacuous == report.checked:
+        return {"check": check, "range": span, "vacuous": report.vacuous}
+    return {"check": check, "range": span, "violations": report.violations, "max_slack": dec_str(report.max_slack)}
 
 
 def build_parser() -> _Parser:

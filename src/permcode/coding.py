@@ -9,6 +9,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .young import (
@@ -30,8 +31,8 @@ CRITICAL_RATIO = 1.0 / math.e
 #: child cost.
 SPLIT_FROM_N = 40
 
-#: Completion products the exact search keeps at once.  The cache starts over
-#: when full, which bounds its memory at any N.
+#: Completion products the exact search keeps at once.  The least recently
+#: used goes when the cache is full, which bounds its memory at any N.
 TAIL_CACHE_SIZE = 256
 
 
@@ -151,39 +152,25 @@ def _gap_side(
     factorials = [1]
     for i in range(1, n + 1):
         factorials.append(factorials[-1] * i)
-    # Both tables are filled on demand.  rows[i][length] is the product of the
-    # factors of row i of the searched diagram, 0 until filled.  tails[k,
-    # remaining, length] is the product of the rows k, k+1, ... of the
-    # dominance-largest completion, 0 if it needs more than max_rows rows;
-    # it holds at most TAIL_CACHE_SIZE of them.  Neither is read under a zero
+    # Both tables are filled on demand, and neither is read under a zero
     # prefix, where every product is 0 and every completion passes.
-    rows: list[list[int] | None] = [None] * max_rows
-    tails: dict[tuple[int, int, int], int] = {}
-
-    def row_table(i: int) -> list[int]:
-        rows[i] = [0] * (n + 1)
-        return rows[i]
-
+    @lru_cache(maxsize=None)
     def row(i: int, length: int) -> int:
-        # prod over j < length of (d + sign * (j - i)): `length` consecutive
+        # the product of the factors of row i of the searched diagram, prod
+        # over j < length of (d + sign * (j - i)): `length` consecutive
         # integers from `base` up
-        table = rows[i] or row_table(i)
-        if not table[length]:
-            base = d + i - length + 1 if above else d - i
-            table[length] = _content_product((length,), base)
-        return table[length]
+        base = d + i - length + 1 if above else d - i
+        return _content_product((length,), base)
 
+    @lru_cache(maxsize=TAIL_CACHE_SIZE)
     def tail(k: int, remaining: int, length: int) -> int:
+        # the product of the rows k, k+1, ... of the dominance-largest
+        # completion, 0 if it needs more than max_rows rows
         full, rest = divmod(remaining, length)
-        product = 0
-        if k + full + (rest > 0) <= max_rows:
-            product = math.prod([row(i, length) for i in range(k, k + full)])
-            if rest:
-                product *= row(k + full, rest)
-        if len(tails) == TAIL_CACHE_SIZE:
-            tails.clear()
-        tails[k, remaining, length] = product
-        return product
+        if k + full + (rest > 0) > max_rows:
+            return 0
+        product = math.prod([row(i, length) for i in range(k, k + full)])
+        return product * row(k + full, rest) if rest else product
 
     firsts = []  # the first rows whose completion passes, longest first
     for length in range(n, 0, -1):
@@ -206,13 +193,10 @@ def _gap_side(
             # lengths below `tested_below` need the completion test
             nonlocal gap, strict, ties, kept, pruned
             k = len(shifted)
-            row_k = rows[k] or row_table(k)
             signed = sign * prefix
             grown = hooks * math.prod(map(k.__add__, shifted))  # the same for every length
             for length in lengths:
-                if length < tested_below and signed * (
-                    tails.get((k, remaining, length)) or tail(k, remaining, length)
-                ) < bound:
+                if length < tested_below and signed * tail(k, remaining, length) < bound:
                     pruned += 1
                     return
                 kept += 1
@@ -225,10 +209,10 @@ def _gap_side(
                         hooks * factorials[remaining] * math.prod(map((k + remaining - 1).__add__, shifted))
                         // math.prod(map((k - 1).__add__, shifted))
                     )
-                    product = prefix and prefix * (tails.get((k, remaining, 1)) or tail(k, remaining, 1))
+                    product = prefix and prefix * tail(k, remaining, 1)
                 else:
                     h = grown * factorials[length] // math.prod(map((k - length).__add__, shifted))
-                    product = prefix and prefix * (row_k[length] or row(k, length))
+                    product = prefix and prefix * row(k, length)
                     if length < remaining:
                         # the longest next row completes to the completion
                         # that kept this prefix, so it needs no test, and
@@ -253,8 +237,8 @@ def _gap_side(
     finally:
         # the recursive closures form a reference cycle, which would keep the
         # tables until the next garbage collection
-        rows.clear()
-        tails.clear()
+        row.cache_clear()
+        tail.cache_clear()
     pruned += len(firsts) < n
     counts = {"visited": kept + pruned, "kept": kept, "pruned": pruned, "leaves": strict + ties}
     return gap, strict, ties, counts

@@ -315,57 +315,32 @@ def orthogonality_check_n3() -> dict:
     """Residuals of the matrix-element orthogonality relations on the adapted
     basis for n=3, d=2, and the squared norms of the optimal state's
     projections onto the two equivalent two-dimensional copies, which should
-    be D/n! = 1/3.  The tolerances are those of ``cli.verify_checks``."""
+    be D/n! = 1/3.  The tolerances are those of ``cli.verify_checks``.
+
+    F has one row per permutation sigma and one column per matrix element
+    (copy, a, b), sigma -> <a|Gamma(sigma)|b> within that copy.  The relations
+    say F^dagger F = (n!/dim) delta_ac delta_bd between copies of the same
+    irrep and 0 across irreps; equivalent copies, aligned, have equal columns.
+    """
     basis = n3_irrep_basis()
-    perms = all_perms(3)
-    copies = {
-        ("triv", 0): ["sym0"],
-        ("triv", 1): ["sym1"],
-        ("triv", 2): ["sym2"],
-        ("triv", 3): ["sym3"],
-        ("std", 0): ["1,1", "1,2"],
-        ("std", 1): ["2,1", "2,2"],
-    }
-    mats: dict[tuple, dict[Perm, np.ndarray]] = {}
-    for key, names in copies.items():
-        block = np.stack([basis[nm] for nm in names]).T  # columns
-        mats[key] = {
-            p: block.conj().T @ block[build_gamma(p, 3, 2)] for p in perms
-        }
-    cross_resid = 0.0
-    same_resid = 0.0
-    aligned_resid = 0.0
-    for (rho, b), mb in mats.items():
-        for (rho2, b2), mb2 in mats.items():
-            dim = len(copies[(rho, b)])
-            dim2 = len(copies[(rho2, b2)])
-            acc = np.zeros((dim, dim, dim2, dim2), dtype=complex)
-            for p in perms:
-                acc += np.einsum("ab,cd->abcd", mb[p].conj(), mb2[p])
-            if rho != rho2:
-                cross_resid = max(cross_resid, np.abs(acc).max())
-            else:
-                expected = np.einsum(
-                    "ca,bd->abcd", np.eye(dim), np.eye(dim)
-                ) * (len(perms) / dim)
-                same_resid = max(same_resid, np.abs(acc - expected).max())
-    # basis alignment: equivalent copies must carry identical matrix elements
-    for p in perms:
-        aligned_resid = max(
-            aligned_resid, np.abs(mats[("std", 0)][p] - mats[("std", 1)][p]).max()
-        )
-    psi, _ = build_n3_example()
-    phi = math.sqrt(5 / 6) * psi
-    proj_norms = {}
-    for b_idx in (0, 1):
-        block = np.stack([basis[nm] for nm in copies[("std", b_idx)]]).T
-        comp = block.conj().T @ phi
-        proj_norms[b_idx] = float(np.real(comp.conj() @ comp))
+    indices = [build_gamma(p, 3, 2) for p in all_perms(3)]
+    copies = [("triv", ["sym0"]), ("triv", ["sym1"]), ("triv", ["sym2"]), ("triv", ["sym3"]),
+              ("std", ["1,1", "1,2"]), ("std", ["2,1", "2,2"])]
+    blocks = [np.stack([basis[nm] for nm in names]).T for _, names in copies]  # columns
+    f_copies = [np.stack([(block.conj().T @ block[idx]).ravel() for idx in indices]) for block in blocks]
+    labels = [(rho, len(names), a, b) for rho, names in copies for a in range(len(names)) for b in range(len(names))]
+    irrep, dim, a, b = map(np.array, zip(*labels))  # of each column
+    same = irrep[:, None] == irrep
+    expected = np.where(same & (a[:, None] == a) & (b[:, None] == b), len(indices) / dim, 0.0)
+    f = np.hstack(f_copies)
+    resid = np.abs(f.conj().T @ f - expected)
+    phi = math.sqrt(5 / 6) * build_n3_example()[0]
+    comps = [block.conj().T @ phi for block in blocks[-2:]]
     return {
-        "cross_irrep_residual": float(cross_resid),
-        "same_irrep_residual": float(same_resid),
-        "alignment_residual": float(aligned_resid),
-        "phi_projection_sq_norms": proj_norms,
+        "cross_irrep_residual": float(resid[~same].max()),
+        "same_irrep_residual": float(resid[same].max()),
+        "alignment_residual": float(np.abs(f_copies[-2] - f_copies[-1]).max()),
+        "phi_projection_sq_norms": {i: float(np.real(c.conj() @ c)) for i, c in enumerate(comps)},
     }
 
 

@@ -202,7 +202,7 @@ def test_criterion_07_monte_carlo_consistency():
 
 def test_criterion_08_tail_bounds():
     start = time.monotonic()
-    kerov_viol = sum(kerov_bound_check(n).violations for n in range(1, 41))
+    kerov_viol = kerov_bound_check(40).violations  # every diagram of every n <= 40
     erdos_viol = erdos_bound_check(500, HARDY_RAMANUJAN_C).violations
     elapsed = time.monotonic() - start
     ok = kerov_viol == 0 and erdos_viol == 0 and elapsed < 300.0

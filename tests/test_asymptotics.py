@@ -3,12 +3,14 @@ import os
 
 import pytest
 
-from permcode import coding
+from permcode import asymptotics, coding
 from permcode.asymptotics import (
     DRAW_BLOCK,
     HARDY_RAMANUJAN_C,
+    KEROV_TOL,
     PLANCHEREL_SHARE,
     _mixture_estimate,
+    _tally,
     draw_shapes,
     erdos_bound_check,
     kerov_bound_check,
@@ -42,9 +44,39 @@ def test_kerov_bound_vacuous_region():
 
 
 def test_kerov_bound_exhaustive_n25():
+    # every diagram of every n <= 25
     rep = kerov_bound_check(25)
-    assert rep.checked == partition_count(25) == 1958
+    assert rep.checked == sum(partition_count(m) for m in range(1, 26)) == 9295
     assert rep.violations == 0
+
+
+def test_tally_counts_weight_zero_as_checked():
+    # a diagram of weight 0 has slack -inf: checked, not vacuous, no violation,
+    # and max_slack as without it
+    for slacks in ([None, -3.0, 2e-12], [None, -3.0, 2e-12, float("-inf")]):
+        rep = _tally(slacks, KEROV_TOL.__lt__)
+        assert (rep.checked, rep.vacuous, rep.violations, rep.max_slack) == (len(slacks), 1, 1, 2e-12)
+    rep = _tally([None, float("-inf")], KEROV_TOL.__lt__)
+    assert (rep.checked, rep.vacuous, rep.violations, rep.max_slack) == (2, 1, 0, float("-inf"))
+
+
+def test_bound_checks_keep_their_violation_rules(monkeypatch):
+    # the Kerov checks forgive roundoff up to 1e-12; the growth check forgives no slack >= 0
+    rules = []
+
+    def spy(slacks, violated):
+        rules.append(violated)
+        return _tally(slacks, violated)
+
+    monkeypatch.setattr(asymptotics, "_tally", spy)
+    kerov_bound_check(3)
+    kerov_row_bound_check(3, 2)
+    erdos_bound_check(3)
+    kerov, row, growth = rules
+    for rule in (kerov, row):
+        assert not rule(1e-12) and rule(1.1e-12)
+    assert growth(0.0) and not growth(-1e-300)
+    assert erdos_bound_check(1, math.log(partition_count(1))).violations == 1
 
 
 @pytest.mark.parametrize("n,d", [(25, 5), (36, 7), (30, 15)])
@@ -113,10 +145,12 @@ def test_rule_of_three_bar_without_informative_draws():
     est = pmax_estimate_schur_weyl(30, 6, k, seed=1)
     assert est.informative == 0 and est.ratio == 1.0
     assert est.ratio_stderr == pytest.approx(1 - 0.05 ** (1 / k))
+    assert est.bar == "rule-of-three error bar"
     # a single possible shape: the zero bar is exact
     for fn, d in ((pmax_estimate_schur_weyl, 1), (pmax_estimate_plancherel, 3)):
         one = fn(1, d, 50, seed=0)
         assert one.stderr == 0.0 and one.informative == 0
+        assert one.bar == "one possible shape, exact"
 
 
 def test_one_draw_bar_is_the_weight_bound():
@@ -128,6 +162,7 @@ def test_one_draw_bar_is_the_weight_bound():
                     one = fn(n, d, 1, seed)
                     single = n == 1 or (fn is pmax_estimate_schur_weyl and d == 1)
                     assert (one.stderr == 0.0) == single, (fn.__name__, n, d, seed)
+                    assert (one.bar == "one draw, weight-bound error bar") != single, (fn.__name__, n, d, seed)
     # a single weight far below the float range still gets a bar, on its scale
     one = pmax_estimate_plancherel(2000, 200, 1, seed=0)
     assert one.ratio < one.ratio_stderr < math.inf and one.log_scale < -2000

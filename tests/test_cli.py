@@ -279,6 +279,13 @@ def test_pmax_reports_informative_draws(capsys):
     assert "+/- 0 " not in out
     code, out, _ = run_cli(capsys, args + ["--format", "json"])
     assert json.loads(out)["rows"][0]["informative_draws"] == 0
+    # the estimator names the other two bars
+    argv = ["pmax", "--n", "30", "--d", "15", "--method", "plancherel", "--samples", "500", "--seed", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and "informative_draws = 1 of 500 (sampled error bar)" in out
+    code, out, _ = run_cli(capsys, ["pmax", "--n", "1", "--d", "3", "--method", "plancherel", "--samples", "10"])
+    assert code == 0 and "p_quantum = 1 +/- 0 (plancherel-mc)" in out
+    assert "informative_draws = 0 of 10 (one possible shape, exact)" in out
 
 
 def test_pmax_rejects_bad_instance(capsys):
@@ -522,15 +529,28 @@ def test_bounds_rejects_nan_constant(capsys):
     assert code == 1 and out == ""
 
 
-def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch):
-    # the column-tail check of every n up to the cap would take minutes first
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--kerov-n", "67", "n=67 exceeds the enumeration cap 66; use the sampling paths instead"),
+        ("--kerov-row-n", "67", "n=67 exceeds the enumeration cap 66; use the sampling paths instead"),
+        ("--kerov-row-n", "0", "need n, d >= 1, got (0, 15)"),
+        ("--kerov-row-d", "0", "need n, d >= 1, got (30, 0)"),
+        ("--erdos-n", "0", "n_max must be >= 1, got 0"),
+        ("--c", "nan", "the growth constant must be a number, got nan"),
+    ],
+    ids=["kerov-n-67", "kerov-row-n-67", "kerov-row-n-0", "kerov-row-d-0", "erdos-n-0", "c-nan"],
+)
+def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch, option, value, message):
+    # every bad argument is refused before the column-tail check runs, which
+    # takes a second at the default --kerov-n and minutes at the cap
     def unreachable(*args, **kwargs):
-        pytest.fail("kerov_bound_check ran before the cap check")
+        pytest.fail("kerov_bound_check ran before the arguments were checked")
 
     monkeypatch.setattr(cli, "kerov_bound_check", unreachable)
-    code, out, err = run_cli(capsys, ["bounds", "--kerov-n", "67"])
+    code, out, err = run_cli(capsys, ["bounds", option, value])
     assert code == 1 and out == ""
-    assert err == "error: n=67 exceeds the enumeration cap 66; use the sampling paths instead\n"
+    assert err == f"error: {message}\n"
 
 
 def test_pmax_exact_above_cap_message(capsys):

@@ -478,6 +478,18 @@ def test_orthogonality_check_n3():
         assert abs(v - 2 / 6) < 1e-12
 
 
+def test_orthogonality_check_n3_flags_a_misaligned_copy(monkeypatch):
+    # the second copy's basis in the other order: an equivalent copy, but its
+    # matrix elements no longer equal the first's, so F^dagger F between the
+    # two copies is not (n!/dim) delta_ac delta_bd
+    basis = qsim.n3_irrep_basis()
+    swapped = {**basis, "2,1": basis["2,2"], "2,2": basis["2,1"]}
+    monkeypatch.setattr(qsim, "n3_irrep_basis", lambda: swapped)
+    rep = orthogonality_check_n3()
+    assert rep["same_irrep_residual"] > 1.0 and rep["alignment_residual"] > 1.0
+    assert rep["cross_irrep_residual"] < 1e-12
+
+
 # --------------------------------------------------- classical channel MC
 
 def test_classical_channel_two_boxes():
