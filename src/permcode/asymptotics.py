@@ -160,6 +160,8 @@ def check_growth_bound_args(n_max: int, erdos_c: float) -> None:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if math.isnan(erdos_c):
         raise ValueError("the growth constant must be a number, got nan")
+    if math.isinf(erdos_c):  # every slack would be -inf or +inf: nothing tested
+        raise ValueError(f"the growth constant must be finite, got {erdos_c}")
 
 
 def erdos_bound_check(n_max: int, erdos_c: float = HARDY_RAMANUJAN_C) -> BoundCheckReport:
@@ -316,8 +318,10 @@ def _mixture_estimate(
         log_scale += peak
         total, total_sq = rel * math.exp(top - peak), rel_sq * math.exp(2 * (top - peak))
     ratio, ratio_stderr = _mean_stderr(total, total_sq, sample_count)
-    if single_shape or (informative and sample_count > 1):
-        bar = "sampled error bar" if informative else "one possible shape, exact"
+    if single_shape:  # the draws' spread is summation roundoff
+        ratio_stderr, bar = 0.0, "one possible shape, exact"
+    elif informative and sample_count > 1:
+        bar = "sampled error bar"
     else:
         unseen_mass = 1.0 if sample_count == 1 else 1.0 - RULE_OF_THREE_MISS ** (1.0 / sample_count)
         ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap - log_scale) * unseen_mass)

@@ -2,8 +2,6 @@
 suites, and bound checks, emitted as table, CSV, or JSON.
 
 Output is deterministic for a fixed command line and seed (no timestamps).
-The environment variable PERMCODE_CAP overrides the exact-enumeration cap of
-pmax, sweep and bounds, the three commands that enumerate diagrams.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from collections import Counter
 from decimal import Context, Decimal
@@ -98,10 +95,10 @@ def _wide_str(value: Decimal) -> str:
     return f"{dec_str(float(mantissa))}e{int(exponent):+03d}"
 
 
-def _meta(args: argparse.Namespace, extra: dict | None = None, cap: int | None = None) -> dict:
+def _meta(args: argparse.Namespace, extra: dict | None = None) -> dict:
     meta = {"version": __version__, "command": args.command}
-    if cap is not None:
-        meta["cap"] = cap
+    if hasattr(args, "cap"):  # the commands that enumerate diagrams
+        meta["cap"] = args.cap
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
     if extra:
@@ -136,18 +133,6 @@ def _emit(args: argparse.Namespace, meta: dict, rows: list[dict], text_lines: li
             raise ValueError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(payload)
-
-
-def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("PERMCODE_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"PERMCODE_CAP must be an integer, got {env!r}")
-    return DEFAULT_ENUMERATION_CAP
 
 
 def _scaled_str(x: float, log_scale: float) -> str:
@@ -224,9 +209,8 @@ def _quantum_columns(instance: CodingInstance, result: CodingReport | McEstimate
 
 
 def cmd_pmax(args: argparse.Namespace) -> None:
-    cap = _resolve_cap(args)
     inst = CodingInstance(args.n, args.d)
-    result = pmax(inst, args.method, cap, args.samples, args.seed)
+    result = pmax(inst, args.method, args.cap, args.samples, args.seed)
     row = {"n": args.n, "d": args.d, **_quantum_columns(inst, result)}
     if isinstance(result, McEstimate):
         row.update(dim_w="", informative_draws=result.informative)
@@ -244,7 +228,7 @@ def cmd_pmax(args: argparse.Namespace) -> None:
             f"dim_w = {result.dim_w}",
             f"min_side_counts = {result.min_side_counts}",
         ]
-    _emit(args, _meta(args, {"method": row["method"]}, cap), [row], lines)
+    _emit(args, _meta(args, {"method": row["method"]}), [row], lines)
 
 
 def cmd_classical(args: argparse.Namespace) -> None:
@@ -254,11 +238,10 @@ def cmd_classical(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    cap = _resolve_cap(args)
     n_list = [int(x) for x in args.n_list.split(",") if x]
     rows_out = []
     lines = []
-    for inst, result in sweep(args.r, n_list, cap, args.samples, args.seed):
+    for inst, result in sweep(args.r, n_list, args.cap, args.samples, args.seed):
         n, d = inst.n_boxes, inst.n_colors
         if isinstance(result, McEstimate):
             log_bound = min(0.0, n * math.log(d) - math.lgamma(n + 1))
@@ -274,7 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             f"N={n} d={d} p_quantum={row['p_quantum']} "
             f"({result.method}) ratio_to_bound={row['ratio_to_bound']}"
         )
-    _emit(args, _meta(args, {"r": args.r, "samples": args.samples}, cap), rows_out, lines)
+    _emit(args, _meta(args, {"r": args.r, "samples": args.samples}), rows_out, lines)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
@@ -384,17 +367,16 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 
 def cmd_bounds(args: argparse.Namespace) -> None:
-    cap = _resolve_cap(args)
     # every argument is checked before the first check runs
     if args.kerov_n < 1:
         raise ValueError(f"--kerov-n must be >= 1, got {args.kerov_n}")
-    check_enumerable(args.kerov_n, cap)
+    check_enumerable(args.kerov_n, args.cap)
     row_n, row_d = args.kerov_row_n, args.kerov_row_d
-    check_row_bound_args(row_n, row_d, cap)
+    check_row_bound_args(row_n, row_d, args.cap)
     check_growth_bound_args(args.erdos_n, args.c)
     rows = [
-        _bound_row("plancherel-column-tail", f"n<={args.kerov_n}", kerov_bound_check(args.kerov_n, cap)),
-        _bound_row("schur-weyl-row-tail", f"n={row_n},d={row_d}", kerov_row_bound_check(row_n, row_d, cap)),
+        _bound_row("plancherel-column-tail", f"n<={args.kerov_n}", kerov_bound_check(args.kerov_n, args.cap)),
+        _bound_row("schur-weyl-row-tail", f"n={row_n},d={row_d}", kerov_row_bound_check(row_n, row_d, args.cap)),
         _bound_row("partition-count-growth", f"n<={args.erdos_n}", erdos_bound_check(args.erdos_n, args.c)),
     ]
     lines = [
@@ -406,7 +388,7 @@ def cmd_bounds(args: argparse.Namespace) -> None:
         )
         for r in rows
     ]
-    _emit(args, _meta(args, {"c": args.c}, cap), rows, lines)
+    _emit(args, _meta(args, {"c": args.c}), rows, lines)
 
 
 def _bound_row(check: str, span: str, report: BoundCheckReport) -> dict:
@@ -425,7 +407,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
         if enumerates:
-            p.add_argument("--cap", type=int, default=None, help="exact-enumeration cap override")
+            p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="exact-enumeration cap")
 
     p = sub.add_parser("pmax", help="optimal quantum success probability")
     p.add_argument("--n", type=int, required=True)

@@ -29,7 +29,7 @@ from .young import CapacityError, InternalInvariantError
 DIMENSION_CAP = 4096  # largest d**n for dense operators
 ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbit
 
-COMPLETENESS_TOL = 1e-10
+COMPLETENESS_TOL = 1e-10  # on the sum of POVM elements, and on |psi|^2 = 1
 
 Perm = tuple[int, ...]
 
@@ -144,6 +144,14 @@ def _check_shape(name: str, array: np.ndarray, shape: tuple[int, ...], n: int, d
         raise ValueError(f"{name} has shape {array.shape}, not {shape} for n={n}, d={d}")
 
 
+def _check_signal(psi: np.ndarray, n: int, d: int) -> None:
+    """Refuse a ``psi`` that is not a unit vector of d^n amplitudes."""
+    _check_shape("psi", psi, (d**n,), n, d)
+    norm_sq = float(np.vdot(psi, psi).real)
+    if abs(norm_sq - 1.0) > COMPLETENESS_TOL:
+        raise ValueError(f"psi must be a unit vector, got squared norm {norm_sq:.12g}")
+
+
 def covariant_slack(seed: np.ndarray, n: int, d: int) -> np.ndarray:
     """I - sum over sigma of Gamma(sigma) seed Gamma(sigma)^dagger, what the
     covariant POVM of the d^n x d^n ``seed`` leaves to a completion.  Its
@@ -199,8 +207,8 @@ def success_probability(psi: np.ndarray, seed: np.ndarray, n: int, d: int) -> fl
     """Average probability of identifying a uniformly random permutation with
     the covariant POVM of ``seed``, E_sigma = Gamma(sigma) seed Gamma(sigma)^dagger:
     (1/n!) sum over sigma of <psi| Gamma(sigma)^dagger E_sigma Gamma(sigma) |psi>.
-    ``psi`` must have d^n amplitudes and ``seed`` be d^n x d^n."""
-    _check_shape("psi", psi, (d**n,), n, d)
+    ``psi`` must be a unit vector of d^n amplitudes and ``seed`` be d^n x d^n."""
+    _check_signal(psi, n, d)
     _check_shape("seed", seed, (d**n, d**n), n, d)
     total = sum(psi[idx].conj() @ seed[np.ix_(idx, idx)] @ psi[idx] for idx in _gamma_indices(n, d))
     total /= math.factorial(n)
@@ -272,9 +280,9 @@ def pgm_success(psi: np.ndarray, n: int, d: int) -> float:
     the orbit's Gram matrix, <psi|S^(-1/2)|psi> = (G^(1/2))_00, and
     G_(sigma,tau) = <psi|Gamma(sigma^-1 tau)|psi> commutes with the regular
     representation, so every diagonal entry of G^(1/2) is tr G^(1/2) / n!.
-    ``psi`` must have d^n amplitudes.
+    ``psi`` must be a unit vector of d^n amplitudes.
     """
-    _check_shape("psi", psi, (d**n,), n, d)
+    _check_signal(psi, n, d)
     evals, kept, _ = _orbit(psi, n, d)
     return float((np.sqrt(evals[kept]).sum() / math.factorial(n)) ** 2)
 

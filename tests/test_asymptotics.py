@@ -151,6 +151,10 @@ def test_rule_of_three_bar_without_informative_draws():
         one = fn(1, d, 50, seed=0)
         assert one.stderr == 0.0 and one.informative == 0
         assert one.bar == "one possible shape, exact"
+    # informative draws (m = 3 > D = 1) at N = 1 leave the bar exact too
+    three = pmax_estimate_schur_weyl(1, 3, 5, seed=0)
+    assert three.stderr == 0.0 and three.informative == 5
+    assert three.bar == "one possible shape, exact"
 
 
 def test_one_draw_bar_is_the_weight_bound():

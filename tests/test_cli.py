@@ -286,6 +286,9 @@ def test_pmax_reports_informative_draws(capsys):
     code, out, _ = run_cli(capsys, ["pmax", "--n", "1", "--d", "3", "--method", "plancherel", "--samples", "10"])
     assert code == 0 and "p_quantum = 1 +/- 0 (plancherel-mc)" in out
     assert "informative_draws = 0 of 10 (one possible shape, exact)" in out
+    code, out, _ = run_cli(capsys, ["pmax", "--n", "1", "--d", "3", "--method", "schur-weyl", "--samples", "5"])
+    assert code == 0 and "p_quantum = 1 +/- 0 (schur-weyl-mc)" in out
+    assert "informative_draws = 5 of 5 (one possible shape, exact)" in out
 
 
 def test_pmax_rejects_bad_instance(capsys):
@@ -301,12 +304,11 @@ def test_pmax_usage_error(capsys):
 def test_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["pmax", "--n", "10", "--d", "5", "--method", "exact", "--cap", "9"])
     assert code == 1 and "cap" in err
+    # the cap is set by --cap only: the output depends on the command line alone
     monkeypatch.setenv("PERMCODE_CAP", "9")
-    code, _, err = run_cli(capsys, ["pmax", "--n", "10", "--d", "5", "--method", "exact"])
-    assert code == 1
-    monkeypatch.setenv("PERMCODE_CAP", "banana")
-    code, _, err = run_cli(capsys, ["pmax", "--n", "3", "--d", "2"])
-    assert code == 1 and "PERMCODE_CAP" in err
+    code, out, _ = run_cli(capsys, ["pmax", "--n", "10", "--d", "5", "--samples", "100"])
+    assert code == 0 and "# cap=66\n" in out
+    assert "p_quantum = 54263/80640 " in out
 
 
 def test_classical_command(capsys):
@@ -315,9 +317,8 @@ def test_classical_command(capsys):
     assert "p_classical = 1/8 (0.125)" in out
 
 
-def test_cap_only_where_diagrams_are_enumerated(capsys, monkeypatch):
-    # classical, sample and verify enumerate nothing, so they read no cap
-    monkeypatch.setenv("PERMCODE_CAP", "banana")
+def test_cap_only_where_diagrams_are_enumerated(capsys):
+    # classical, sample and verify enumerate nothing, so they take no cap
     code, out, _ = run_cli(capsys, ["classical", "--n", "3", "--d", "2"])
     assert code == 0 and "cap" not in out
     code, out, err = run_cli(capsys, ["verify", "--suite", "n3", "--cap", "3"])
@@ -538,8 +539,10 @@ def test_bounds_rejects_nan_constant(capsys):
         ("--kerov-row-d", "0", "need n, d >= 1, got (30, 0)"),
         ("--erdos-n", "0", "n_max must be >= 1, got 0"),
         ("--c", "nan", "the growth constant must be a number, got nan"),
+        ("--c", "inf", "the growth constant must be finite, got inf"),
+        ("--c", "-inf", "the growth constant must be finite, got -inf"),
     ],
-    ids=["kerov-n-67", "kerov-row-n-67", "kerov-row-n-0", "kerov-row-d-0", "erdos-n-0", "c-nan"],
+    ids=["kerov-n-67", "kerov-row-n-67", "kerov-row-n-0", "kerov-row-d-0", "erdos-n-0", "c-nan", "c-inf", "c-minus-inf"],
 )
 def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch, option, value, message):
     # every bad argument is refused before the column-tail check runs, which
@@ -548,7 +551,7 @@ def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch, option, 
         pytest.fail("kerov_bound_check ran before the arguments were checked")
 
     monkeypatch.setattr(cli, "kerov_bound_check", unreachable)
-    code, out, err = run_cli(capsys, ["bounds", option, value])
+    code, out, err = run_cli(capsys, ["bounds", f"{option}={value}"])  # "=" lets a value start with "-"
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 

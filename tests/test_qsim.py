@@ -517,6 +517,11 @@ def test_dimension_mismatch_rejected():
         success_probability(psi, np.eye(4) / 2, 2, 2)
     with pytest.raises(ValueError, match="shape"):
         pgm_success(np.ones(8) / np.sqrt(8), 2, 2)
+    # a signal is a unit vector: a scaled one is the caller's error, not an internal one
+    with pytest.raises(ValueError, match="unit vector"):
+        pgm_success(1e3 * psi, 3, 2)
+    with pytest.raises(ValueError, match="unit vector"):
+        success_probability(1e3 * psi, np.eye(8) / 6, 3, 2)
 
 
 def test_seed_shape_rejected():
