@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 from .coding import _over_shares, _share_count
 from .young import (
+    DEFAULT_ENUMERATION_CAP,
     check_enumerable,
     enumerate_partitions,
     log_dim_irrep,
@@ -109,7 +110,7 @@ def _tally(slacks: Iterable[float | None], violated: Callable[[float], bool]) ->
     return report
 
 
-def kerov_bound_check(n_max: int, cap: int | None = None) -> BoundCheckReport:
+def kerov_bound_check(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> BoundCheckReport:
     """Verify, for every diagram of every n <= n_max, the Plancherel tail
     bound mu(rho) <= exp(-2 * c1 * (ln(c1/sqrt(n)) - 1)) with c1 the
     first-column length.  The bound is vacuous when the right side is >= 1."""
@@ -125,14 +126,14 @@ def kerov_bound_check(n_max: int, cap: int | None = None) -> BoundCheckReport:
     return _tally(slacks(), KEROV_TOL.__lt__)
 
 
-def check_row_bound_args(n: int, d: int, cap: int | None = None) -> None:
+def check_row_bound_args(n: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     """Raise ValueError unless ``kerov_row_bound_check(n, d, cap)`` may run."""
     if n < 1 or d < 1:
         raise ValueError(f"need n, d >= 1, got ({n}, {d})")
     check_enumerable(n, cap)
 
 
-def kerov_row_bound_check(n: int, d: int, cap: int | None = None) -> BoundCheckReport:
+def kerov_row_bound_check(n: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> BoundCheckReport:
     """Per-diagram check of the Schur-Weyl tail bound
     mu(rho) <= exp(-r1 * (2 * (ln(r1/sqrt(n)) - 1) - 1/(2r))) with r1 the
     first-row length and r = d/n.  Stated asymptotically, so violations are
@@ -170,6 +171,11 @@ def erdos_bound_check(n_max: int, erdos_c: float = HARDY_RAMANUJAN_C) -> BoundCh
     check_growth_bound_args(n_max, erdos_c)
     slacks = (math.log(partition_count(n)) - erdos_c * math.sqrt(n) for n in range(1, n_max + 1))
     return _tally(slacks, (0.0).__le__)
+
+
+def log_counting_bound(n: int, d: int) -> float:
+    """ln(d^n/n!): the counting bound of ``coding.info_bound`` before its min with 1."""
+    return n * math.log(d) - math.lgamma(n + 1)
 
 
 def _mean_stderr(values_sum: float, values_sumsq: float, k: int) -> tuple[float, float]:
@@ -249,7 +255,7 @@ def _draw_logs(
 
 
 def _mixture_estimate(
-    n: int, d: int, sample_count: int, seed: int, alpha: float, method: str, shares: int | None = None
+    n: int, d: int, sample_count: int, seed: int, alpha: float, shares: int | None = None
 ) -> McEstimate:
     """Importance-sampling core shared by both estimators.
 
@@ -274,23 +280,22 @@ def _mixture_estimate(
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
     ``bar`` names which of these error bars the estimate reports.
 
-    The draws are dealt into ``shares`` shares (``_draw_logs``), by default
-    one per usable CPU at any N, and summed here in draw order, so the
-    estimate is the same bit for bit at any share count.
+    The draws are dealt into the shares that ``coding._share_count`` gives
+    for ``shares`` at N = n (``_draw_logs``), and summed here in draw order,
+    so the estimate is the same bit for bit at any share count.
     """
     if n < 1 or d < 1 or sample_count < 1:
         raise ValueError(f"need n, d, sample_count >= 1, got ({n}, {d}, {sample_count})")
     neg_inf = float("-inf")
-    log_bound = n * math.log(d) - math.lgamma(n + 1)  # ln(d^n/n!)
+    log_bound = log_counting_bound(n, d)
     relative_to_bound = alpha == 0.0
     log_scale = log_bound if relative_to_bound else 0.0
     log_alpha = math.log(alpha) if alpha > 0.0 else neg_inf
     log_beta = math.log1p(-alpha)
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
-    shares = _share_count(sample_count, shares)
+    shares = _share_count(sample_count, shares, n)
     for log_dim, log_mult in _draw_logs(n, d, sample_count, seed, alpha, shares):
         informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
         if log_mult == neg_inf:
@@ -327,8 +332,8 @@ def _mixture_estimate(
         ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap - log_scale) * unseen_mass)
         bar = "one draw, weight-bound error bar" if sample_count == 1 else "rule-of-three error bar"
     return McEstimate(
-        n=n, d=d, samples=sample_count, seed=seed, method=method, ratio=ratio,
-        ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative, bar=bar,
+        n=n, d=d, samples=sample_count, seed=seed, method="schur-weyl-mc" if relative_to_bound else "plancherel-mc",
+        ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative, bar=bar,
     )
 
 
@@ -344,7 +349,7 @@ def pmax_estimate_plancherel(n: int, d: int, sample_count: int, seed: int) -> Mc
     ``estimate``.  If no draw had m < D, the error bar is the rule-of-three
     bound.  Deterministic given the seed.
     """
-    return _mixture_estimate(n, d, sample_count, seed, PLANCHEREL_SHARE, "plancherel-mc")
+    return _mixture_estimate(n, d, sample_count, seed, PLANCHEREL_SHARE)
 
 
 def pmax_estimate_schur_weyl(n: int, d: int, sample_count: int, seed: int) -> McEstimate:
@@ -359,4 +364,4 @@ def pmax_estimate_schur_weyl(n: int, d: int, sample_count: int, seed: int) -> Mc
     the rule-of-three bound 1 - 0.05^(1/k) instead of 0 (except for d = 1 or
     n = 1, where only one shape exists).  Deterministic given the seed.
     """
-    return _mixture_estimate(n, d, sample_count, seed, 0.0, "schur-weyl-mc")
+    return _mixture_estimate(n, d, sample_count, seed, 0.0)

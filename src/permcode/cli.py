@@ -29,6 +29,7 @@ from .asymptotics import (
     erdos_bound_check,
     kerov_bound_check,
     kerov_row_bound_check,
+    log_counting_bound,
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
     times_exp,
@@ -220,12 +221,13 @@ def cmd_pmax(args: argparse.Namespace) -> None:
             f"informative_draws = {result.informative} of {result.samples} ({result.bar})",
         ]
     else:
-        row.update(dim_w=result.dim_w, informative_draws="")
+        dim_w = _int_str(result.dim_w)
+        row.update(dim_w=result.dim_w if dim_w.isdigit() else dim_w, informative_draws="")
         lines = [
             f"p_quantum = {row['p_quantum_exact']} ({row['p_quantum']})",
             f"p_classical = {row['p_classical_exact']} ({row['p_classical']})",
             f"info_bound = {row['info_bound_exact']} ({row['info_bound']})",
-            f"dim_w = {result.dim_w}",
+            f"dim_w = {dim_w}",
             f"min_side_counts = {result.min_side_counts}",
         ]
     _emit(args, _meta(args, {"method": row["method"]}), [row], lines)
@@ -244,8 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     for inst, result in sweep(args.r, n_list, args.cap, args.samples, args.seed):
         n, d = inst.n_boxes, inst.n_colors
         if isinstance(result, McEstimate):
-            log_bound = min(0.0, n * math.log(d) - math.lgamma(n + 1))
-            ratio_to_bound = times_exp(result.ratio, result.log_scale - log_bound)
+            ratio_to_bound = times_exp(result.ratio, result.log_scale - min(0.0, log_counting_bound(n, d)))
         else:
             ratio_to_bound = float(result.p_quantum / info_bound(inst))
         row = {

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .young import (
+    DEFAULT_ENUMERATION_CAP,
     InternalInvariantError,
     _content_product,
     # unused here: the benchmark's tracer wraps these two bindings of coding
@@ -26,14 +27,9 @@ from .young import (
 #: Color ratio d/N separating the two asymptotic regimes.
 CRITICAL_RATIO = 1.0 / math.e
 
-#: Smallest N whose exact search is split over the usable CPUs.  Below it a
-#: search takes a few milliseconds, the order of what a fork and reaping the
-#: child cost.
-SPLIT_FROM_N = 40
-
-#: Completion products the exact search keeps at once.  The least recently
-#: used goes when the cache is full, which bounds its memory at any N.
-TAIL_CACHE_SIZE = 256
+#: Smallest N whose exact search and Monte Carlo draws are split over the usable
+#: CPUs by default (``_share_count``), between the crossovers the README gives.
+SPLIT_FROM_N = 30
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,7 @@ class CodingInstance:
 
     def __post_init__(self) -> None:
         if self.n_boxes < 1 or self.n_colors < 1:
-            raise ValueError(
-                f"need n_boxes >= 1 and n_colors >= 1, got ({self.n_boxes}, {self.n_colors})"
-            )
+            raise ValueError(f"need n_boxes >= 1 and n_colors >= 1, got ({self.n_boxes}, {self.n_colors})")
 
     @property
     def above_critical(self) -> bool:
@@ -71,7 +65,7 @@ class CodingReport:
     search_counts: dict[str, int]
 
 
-def quantum_pmax_exact(instance: CodingInstance, cap: int | None = None) -> CodingReport:
+def quantum_pmax_exact(instance: CodingInstance, cap: int = DEFAULT_ENUMERATION_CAP) -> CodingReport:
     """Optimal quantum success probability (1/N!) * sum over diagrams of
     min(m, D) * D, computed exactly from one side of the m = D boundary.
 
@@ -133,13 +127,13 @@ def _gap_side(
     length 1 every row is 1 and none is tested, so such a row finishes its
     leaf in one step: r rows of 1 added as rows k, k+1, ... to a prefix with
     hook product H and shifted lengths s_i = (length of row i) - i give
-    H * r! * prod_i (s_i + k + r - 1) / prod_i (s_i + k - 1).
+    H * r! * prod_i (s_i + k + r - 1) / prod_i (s_i + k - 1).  The row and
+    completion products are kept in two whole tables that last for one search.
 
-    The first rows that pass the test are dealt round-robin into ``shares``
-    shares, by default one per usable CPU from N = SPLIT_FROM_N on and one
-    below it.  Share 0 runs in this process and each other share in a forked
-    child (``_over_shares``).  Every partial result is an integer, so the split
-    cannot change the sum.
+    The first rows that pass the test are dealt round-robin into the shares
+    that ``_share_count`` gives for ``shares`` at N = n.  Share 0 runs in this
+    process and each other share in a forked child (``_over_shares``).  Every
+    partial result is an integer, so the split cannot change the sum.
 
     Returns (sum over the gap side of |m - D| * D, the number of searched
     diagrams with m != D, m = 0 included, the number with m = D, the search
@@ -162,7 +156,7 @@ def _gap_side(
         base = d + i - length + 1 if above else d - i
         return _content_product((length,), base)
 
-    @lru_cache(maxsize=TAIL_CACHE_SIZE)
+    @lru_cache(maxsize=None)
     def tail(k: int, remaining: int, length: int) -> int:
         # the product of the rows k, k+1, ... of the dominance-largest
         # completion, 0 if it needs more than max_rows rows
@@ -178,7 +172,7 @@ def _gap_side(
             break
         firsts.append(length)
 
-    shares = _share_count(len(firsts), 1 if shares is None and n < SPLIT_FROM_N else shares)
+    shares = _share_count(len(firsts), shares, n)
 
     def share(j: int) -> tuple[int, int, int, int, int]:
         gap = strict = ties = kept = pruned = 0
@@ -252,12 +246,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share_count(items: int, shares: int | None) -> int:
-    """How many shares ``items`` pieces of work are dealt into: ``shares``, by
-    default one per usable CPU, and one without ``os.fork``; never more than
-    the items, never fewer than one."""
+def _share_count(items: int, shares: int | None, n: int) -> int:
+    """How many shares ``items`` pieces of the exact search or the Monte Carlo
+    draws at N = ``n`` are dealt into: ``shares``, by default one below
+    SPLIT_FROM_N and one per usable CPU from it on; one without ``os.fork``."""
     if shares is None:
-        shares = _usable_cpus()
+        shares = 1 if n < SPLIT_FROM_N else _usable_cpus()
     if not hasattr(os, "fork"):
         shares = 1
     return max(1, min(shares, items))

@@ -57,7 +57,7 @@ def _content_product(rows: Sequence[int], d: int) -> int:
     return prod
 
 
-def enumerate_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
     """Every partition of n exactly once, in reverse-lexicographic order:
     (n,) first and (1, ..., 1) last.  Streaming: partitions are produced one
     at a time.  The cap is checked at the call, before the first one."""
@@ -65,9 +65,8 @@ def enumerate_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, 
     return _partitions_revlex(n)
 
 
-def check_enumerable(n: int, cap: int | None = None) -> None:
+def check_enumerable(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     """Raise CapacityError unless ``enumerate_partitions(n, cap)`` may run."""
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if n < 1:
         raise CapacityError(f"enumeration requires n >= 1, got {n}")
     if n > cap:

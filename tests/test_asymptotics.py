@@ -207,11 +207,11 @@ def test_both_estimators_agree():
     (2000, 200, 1, 0),  # a weight far below the float range
 ])
 def test_split_estimates_equal_one_process(n, d, k, seed):
-    for method, alpha in (("plancherel-mc", PLANCHEREL_SHARE), ("schur-weyl-mc", 0.0)):
-        serial = _mixture_estimate(n, d, k, seed, alpha, method, 1)
+    for alpha in (PLANCHEREL_SHARE, 0.0):
+        serial = _mixture_estimate(n, d, k, seed, alpha, 1)
         for shares in (2, 3):
-            split = _mixture_estimate(n, d, k, seed, alpha, method, shares)
-            assert repr(split) == repr(serial), (method, shares)  # every float bit for bit
+            split = _mixture_estimate(n, d, k, seed, alpha, shares)
+            assert repr(split) == repr(serial), (alpha, shares)  # every float bit for bit
     if (n, d) == (30, 6):
         assert serial.informative == 0 and serial.ratio_stderr > 0
 
@@ -242,8 +242,6 @@ def test_bad_estimator_arguments_raise_before_any_fork(monkeypatch):
     for fn in (pmax_estimate_plancherel, pmax_estimate_schur_weyl):
         with pytest.raises(Forked):  # valid arguments reach the fork
             fn(40, 15, 10, 0)
-        with pytest.raises(Forked):  # at any N
-            fn(30, 15, 10, 0)
         for n, d, k in ((40, 0, 10), (40, 15, 0), (0, 15, 10)):
             with pytest.raises(ValueError):
                 fn(n, d, k, 0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permcode import cli
 from permcode.asymptotics import McEstimate
@@ -333,6 +333,22 @@ def test_int_str_digit_limit():
     assert _int_str(2**14286).startswith("<4301-digit integer")
 
 
+def test_dim_w_above_the_print_limit(capsys):
+    # dim_w = 1600!, 4434 digits, in all three formats; below the limit the row keeps the int
+    argv = ["pmax", "--n", "1600", "--d", "1600", "--method", "exact", "--cap", "6000"]
+    note = "<4434-digit integer, above the 4300-digit print limit>"
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and f"\ndim_w = {note}\n" in out
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    body = "\n".join(line for line in out.splitlines() if not line.startswith("#"))
+    assert code == 0 and next(csv.DictReader(io.StringIO(body)))["dim_w"] == note
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0 and json.loads(out)["rows"][0]["dim_w"] == note
+    code, out, _ = run_cli(capsys, ["pmax", "--n", "5", "--d", "3", "--format", "json"])
+    row = json.loads(out)["rows"][0]
+    assert code == 0 and row["dim_w"] == 120 * Fraction(row["p_quantum_exact"])
+
+
 def test_long_rationals_print_digit_count(capsys):
     code, out, _ = run_cli(capsys, ["classical", "--n", "3000", "--d", "2"])
     assert code == 0
@@ -611,6 +627,7 @@ _COMMANDS = st.one_of(
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_COMMANDS)
+@example(["pmax", "--n=1600", "--d=1600", "--method=exact", "--cap=6000"])  # dim_w above the print limit
 def test_outside_input_ends_in_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

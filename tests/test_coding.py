@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcode import coding
+from permcode.asymptotics import pmax_estimate_plancherel, pmax_estimate_schur_weyl
 from permcode.cli import main
 from permcode.coding import (
+    SPLIT_FROM_N,
     CodingInstance,
     _gap_side,
     _over_shares,
@@ -342,7 +344,12 @@ def test_failed_parent_share_kills_and_reaps_children(error):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_exact_search_splits_from_n_40_on(monkeypatch):
+@pytest.mark.parametrize("core", [
+    lambda n, d: quantum_pmax_exact(CodingInstance(n, d)),
+    lambda n, d: pmax_estimate_plancherel(n, d, 10, 0),
+    lambda n, d: pmax_estimate_schur_weyl(n, d, 10, 0),
+], ids=["exact", "plancherel", "schur-weyl"])
+def test_each_core_splits_from_split_from_n_on(monkeypatch, core):
     class Forked(OSError):
         pass
 
@@ -352,9 +359,9 @@ def test_exact_search_splits_from_n_40_on(monkeypatch):
     monkeypatch.setattr(coding, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     for d in (10, 15):  # below and above the critical ratio
-        quantum_pmax_exact(CodingInstance(39, d))  # one share, in process
-    with pytest.raises(Forked):
-        quantum_pmax_exact(CodingInstance(40, 15))
+        core(SPLIT_FROM_N - 1, d)  # one share, in process
+        with pytest.raises(Forked):
+            core(SPLIT_FROM_N, d)
 
 
 def test_one_share_runs_in_process(monkeypatch):
