@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator
 from .coding import _over_shares, _share_count
 from .young import (
     DEFAULT_ENUMERATION_CAP,
+    _content_product,
     check_enumerable,
     enumerate_partitions,
     log_dim_irrep,
@@ -39,7 +40,7 @@ RULE_OF_THREE_MISS = 0.05
 KEROV_TOL = 1e-12
 
 #: Draws an estimator deals over its shares at a time: the parent holds the
-#: two log values of at most this many draws, whatever the sample count.
+#: log ratio of at most this many draws, whatever the sample count.
 DRAW_BLOCK = 4096
 
 
@@ -56,12 +57,10 @@ class BoundCheckReport:
 @dataclass
 class McEstimate:
     """Monte Carlo estimate of the optimal success probability,
-    ratio * e^log_scale with error bar ratio_stderr * e^log_scale."""
+    ratio * e^log_scale with error bar ratio_stderr * e^log_scale, from
+    ``samples`` draws; the instance and the seed are the caller's."""
 
-    n: int
-    d: int
     samples: int
-    seed: int
     method: str
     # the raw sampled mean, relative to the scale e^log_scale it estimates against
     ratio: float
@@ -92,7 +91,16 @@ def times_exp(x: float, log_scale: float) -> float:
 
 @lru_cache(maxsize=65536)
 def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
-    return log_dim_irrep(rows), log_multiplicity(rows, d)
+    """(ln D, ln m) of a diagram at d, ln m = -inf at m = 0.  The two float
+    sums differ by roundoff at m = D, so within a bound on it, 8 (n + 1) ulps
+    of 1 + ln n!, m = D is decided by the exact search's integer test
+    C = prod over cells of (d + content) = n!, and then ln m is ln D."""
+    log_dim, log_mult = log_dim_irrep(rows), log_multiplicity(rows, d)
+    n = sum(rows)
+    roundoff = 8 * (n + 1) * sys.float_info.epsilon * (1.0 + math.lgamma(n + 1))
+    if abs(log_mult - log_dim) <= roundoff and _content_product(rows, d) == math.factorial(n):
+        return log_dim, log_dim
+    return log_dim, log_mult
 
 
 def _tally(slacks: Iterable[float | None], violated: Callable[[float], bool]) -> BoundCheckReport:
@@ -220,69 +228,68 @@ def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) 
 
 
 def _block_logs(words: Iterator[list[int]], d: int, block: int, shares: int, j: int) -> tuple[float, ...]:
-    """ln D and ln m, flattened, of the diagrams of the next ``block`` words'
-    draws j, j + shares, ...; the other words are drawn and skipped."""
-    logs: list[float] = []
+    """ln m - ln D of the diagrams of the next ``block`` words' draws j,
+    j + shares, ...; the other words are drawn and skipped."""
+    logs = []
     for i, word in enumerate(islice(words, block)):
         if i % shares == j:
-            logs += _log_dim_mult(rsk_shape(word), d)
+            log_dim, log_mult = _log_dim_mult(rsk_shape(word), d)
+            logs.append(log_mult - log_dim)
     return tuple(logs)
 
 
-def _draw_logs(
-    n: int, d: int, count: int, seed: int, plancherel_share: float, shares: int
-) -> Iterator[tuple[float, float]]:
-    """(ln D, ln m) of each diagram of ``draw_shapes``, in draw order.
+def _draw_logs(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[float]:
+    """ln(m/D) = ln m - ln D of each diagram of ``draw_shapes``, in draw
+    order: -inf where m = 0, and 0 exactly where m = D (``_log_dim_mult``).
 
-    The draws are dealt DRAW_BLOCK at a time over ``coding._over_shares``:
-    draw i of a block goes to share i mod ``shares``.  Each share runs the
-    block's stretch of the one seeded stream, from the state its process was
-    forked with, and takes the RSK shape of its own words only.  The logs are
-    floats that cross the pipe bit for bit, so they equal a one-process run's
-    at any share count.
+    The draws are dealt DRAW_BLOCK at a time over ``coding._over_shares``,
+    into the P shares that ``coding._share_count`` gives at N = n: draw i of
+    a block goes to share i mod P.  Each share runs the block's stretch of
+    the one seeded stream, from the state its process was forked with, and
+    takes the RSK shape of its own words only.  It sends one float per draw,
+    bit for bit, and the floats are interleaved back into draw order, so
+    they equal a one-process run's at any share count.
     """
     words = _draw_words(n, d, count, seed, plancherel_share)
+    shares = _share_count(count, n)
     for start in range(0, count, DRAW_BLOCK):
         block = min(DRAW_BLOCK, count - start)
         dealt = min(shares, block)
-        sizes = [2 * len(range(j, block, dealt)) for j in range(dealt)]
+        sizes = [len(range(j, block, dealt)) for j in range(dealt)]
         parts = _over_shares(partial(_block_logs, words, d, block, dealt), sizes, "Monte Carlo draws")
-        log_dims, log_mults = [0.0] * block, [0.0] * block
+        logs = [0.0] * block
         for j, part in enumerate(parts):
-            log_dims[j::dealt] = part[0::2]
-            log_mults[j::dealt] = part[1::2]
-        yield from zip(log_dims, log_mults)
+            logs[j::dealt] = part
+        yield from logs
 
 
-def _mixture_estimate(
-    n: int, d: int, sample_count: int, seed: int, alpha: float, shares: int | None = None
-) -> McEstimate:
+def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float) -> McEstimate:
     """Importance-sampling core shared by both estimators.
 
     P_max is the sum over diagrams of f = min(m, D) * D / n!.  The draws come
     from ``draw_shapes`` with Plancherel share alpha, 0 <= alpha < 1, so from
     q = alpha * Plancherel + (1 - alpha) * Schur-Weyl, and each contributes the
     weight f/q = 1 / (alpha/min(1, m/D) + (1-alpha)/(B*min(1, D/m))), B = d^n/n!,
-    or 0 when the diagram has more than d rows.  The weight is bounded by
-    min(1/alpha, B/(1-alpha)), and it is evaluated in log space because B
-    over- or underflows a float at large n.  Where every weight would underflow
-    a normal float, the weights are kept relative to the largest one, which
-    moves into the scale.
+    or 0 when the diagram has more than d rows: a function of ln(m/D) alone.
+    The weight is bounded by min(1/alpha, B/(1-alpha)), and it is evaluated
+    in log space because B over- or underflows a float at large n.  Where
+    every weight would underflow a normal float, the weights are kept
+    relative to the largest one, which moves into the scale.
 
     The sampled mean is kept relative to the trivial bound that P_max falls
     short of: B for pure Schur-Weyl draws (alpha = 0), 1 otherwise.  A draw is
     informative when its diagram lies where that shortfall comes from: m > D
-    against B, m < D against 1.  If no draw was informative, the unseen set
-    has q-mass below 1 - 0.05^(1/k) at 95% confidence (the rule of three,
-    about 3/k for k draws), and the error bar of the mean is raised to that
-    mass times the weight bound.  A single draw shows no spread, so its error
-    bar is the weight bound itself.  Only where q puts all its mass on one
+    against B, m < D against 1, never m = D, which is decided exactly.  If no
+    draw was informative, the unseen set has q-mass below 1 - 0.05^(1/k) at
+    95% confidence (the rule of three, about 3/k for k draws), and the error
+    bar of the mean is raised to that mass times the weight bound.  A single
+    draw shows no spread, so its error bar is the weight bound itself.  Only where q puts all its mass on one
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
     ``bar`` names which of these error bars the estimate reports.
 
     The draws are dealt into the shares that ``coding._share_count`` gives
-    for ``shares`` at N = n (``_draw_logs``), and summed here in draw order,
-    so the estimate is the same bit for bit at any share count.
+    at N = n (``_draw_logs``), and summed here in draw order, so the estimate
+    is the same bit for bit at any share count.
     """
     if n < 1 or d < 1 or sample_count < 1:
         raise ValueError(f"need n, d, sample_count >= 1, got ({n}, {d}, {sample_count})")
@@ -295,14 +302,13 @@ def _mixture_estimate(
     total = total_sq = 0.0
     top, rel, rel_sq = neg_inf, 0.0, 0.0  # the largest log weight; the sums relative to it
     informative = 0
-    shares = _share_count(sample_count, shares, n)
-    for log_dim, log_mult in _draw_logs(n, d, sample_count, seed, alpha, shares):
-        informative += (log_dim < log_mult) if relative_to_bound else (log_mult < log_dim)
-        if log_mult == neg_inf:
+    for log_ratio in _draw_logs(n, d, sample_count, seed, alpha):
+        informative += (log_ratio > 0.0) if relative_to_bound else (log_ratio < 0.0)
+        if log_ratio == neg_inf:
             continue  # weight 0
         # ln(f/p) - ln(scale) for the Plancherel and the Schur-Weyl component
-        g_plancherel = min(0.0, log_mult - log_dim) - log_scale
-        g_schur_weyl = min(0.0, log_dim - log_mult) + (log_bound - log_scale)
+        g_plancherel = min(0.0, log_ratio) - log_scale
+        g_schur_weyl = min(0.0, -log_ratio) + (log_bound - log_scale)
         log_v = -_log_add(log_alpha - g_plancherel, log_beta - g_schur_weyl)
         v = math.exp(log_v)
         total += v
@@ -332,7 +338,7 @@ def _mixture_estimate(
         ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap - log_scale) * unseen_mass)
         bar = "one draw, weight-bound error bar" if sample_count == 1 else "rule-of-three error bar"
     return McEstimate(
-        n=n, d=d, samples=sample_count, seed=seed, method="schur-weyl-mc" if relative_to_bound else "plancherel-mc",
+        samples=sample_count, method="schur-weyl-mc" if relative_to_bound else "plancherel-mc",
         ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative, bar=bar,
     )
 

@@ -281,16 +281,13 @@ def _verify_n3_checks() -> list[tuple[str, float, float]]:
     # E_sigma sum to at most I: the slack I - sum E_sigma has no negative eigenvalue
     slack = covariant_slack(seed, 3, 2)
     p_povm = success_probability(psi, seed, 3, 2)
-    orth = orthogonality_check_n3()
-    relations = (orth["cross_irrep_residual"], orth["same_irrep_residual"], orth["alignment_residual"])
-    # D/n! of the two-dimensional irrep of S_3
-    copies = max(abs(v - 2 / 6) for v in orth["phi_projection_sq_norms"].values())
+    relations, copies = orthogonality_check_n3()
     return [
         ("overlap-one-fifth", overlap_resid, 1e-12),
         ("povm-completeness", max(0.0, -np.linalg.eigvalsh(slack).min()), 1e-10),
         ("success-five-sixths", abs(p_povm - 5 / 6), 1e-10),
         ("pgm-matches-povm", abs(pgm_success(psi, 3, 2) - p_povm), 1e-8),
-        ("orthogonality-relations", max(relations), 1e-12),
+        ("orthogonality-relations", relations, 1e-12),
         ("phi-copy-projections", copies, 1e-12),
     ]
 

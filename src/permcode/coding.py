@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .young import (
     DEFAULT_ENUMERATION_CAP,
@@ -52,11 +52,11 @@ class CodingInstance:
 
 @dataclass
 class CodingReport:
-    """Computed probabilities for one instance, with the method recorded."""
+    """P_max = dim_w / N! of one instance from the exact search, with its
+    counters; ``method`` is a class constant, the same for every report."""
 
-    instance: CodingInstance
+    method: ClassVar[str] = "exact-enumeration"
     p_quantum: Fraction
-    method: str  # "exact-enumeration"
     dim_w: int
     # per-diagram min(m, D) outcome counts: which side of the min wins
     min_side_counts: dict[str, int]
@@ -93,19 +93,10 @@ def quantum_pmax_exact(instance: CodingInstance, cap: int = DEFAULT_ENUMERATION_
     hidden = fits - strict - ties
     dim_wins, mult_wins = (hidden, strict) if above else (strict, hidden)
     counts = {"dim_wins": dim_wins, "mult_wins": mult_wins, "ties": ties, "zero_mult": zero_mult}
-    return CodingReport(
-        instance=instance,
-        p_quantum=Fraction(dim_w, nfact),
-        method="exact-enumeration",
-        dim_w=dim_w,
-        min_side_counts=counts,
-        search_counts=search_counts,
-    )
+    return CodingReport(Fraction(dim_w, nfact), dim_w, counts, search_counts)
 
 
-def _gap_side(
-    n: int, d: int, above: bool, shares: int | None = None
-) -> tuple[int, int, int, dict[str, int]]:
+def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int, dict[str, int]]:
     """Visit every diagram on the gap-carrying side of m = D, pruning by dominance.
 
     With C = prod over cells of (d + content), m = C/H and D = n!/H share the
@@ -131,9 +122,9 @@ def _gap_side(
     completion products are kept in two whole tables that last for one search.
 
     The first rows that pass the test are dealt round-robin into the shares
-    that ``_share_count`` gives for ``shares`` at N = n.  Share 0 runs in this
-    process and each other share in a forked child (``_over_shares``).  Every
-    partial result is an integer, so the split cannot change the sum.
+    that ``_share_count`` gives at N = n.  Share 0 runs in this process and
+    each other share in a forked child (``_over_shares``).  Every partial
+    result is an integer, so the split cannot change the sum.
 
     Returns (sum over the gap side of |m - D| * D, the number of searched
     diagrams with m != D, m = 0 included, the number with m = D, the search
@@ -172,7 +163,7 @@ def _gap_side(
             break
         firsts.append(length)
 
-    shares = _share_count(len(firsts), shares, n)
+    shares = _share_count(len(firsts), n)
 
     def share(j: int) -> tuple[int, int, int, int, int]:
         gap = strict = ties = kept = pruned = 0
@@ -246,15 +237,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share_count(items: int, shares: int | None, n: int) -> int:
+def _share_count(items: int, n: int) -> int:
     """How many shares ``items`` pieces of the exact search or the Monte Carlo
-    draws at N = ``n`` are dealt into: ``shares``, by default one below
-    SPLIT_FROM_N and one per usable CPU from it on; one without ``os.fork``."""
-    if shares is None:
-        shares = 1 if n < SPLIT_FROM_N else _usable_cpus()
-    if not hasattr(os, "fork"):
-        shares = 1
-    return max(1, min(shares, items))
+    draws at N = ``n`` are dealt into: one below SPLIT_FROM_N and one per
+    usable CPU from it on, never more than ``items``; one without ``os.fork``."""
+    if n < SPLIT_FROM_N or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), items))
 
 
 def _over_shares(

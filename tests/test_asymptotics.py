@@ -9,6 +9,7 @@ from permcode.asymptotics import (
     HARDY_RAMANUJAN_C,
     KEROV_TOL,
     PLANCHEREL_SHARE,
+    _log_dim_mult,
     _mixture_estimate,
     _tally,
     draw_shapes,
@@ -20,7 +21,7 @@ from permcode.asymptotics import (
 )
 from permcode.cli import main
 from permcode.coding import CRITICAL_RATIO, CodingInstance, quantum_pmax_exact
-from permcode.young import log_dim_irrep, log_multiplicity, partition_count
+from permcode.young import dim_irrep, enumerate_partitions, multiplicity, partition_count
 
 
 # ---------------------------------------------------------- tail bounds
@@ -182,9 +183,38 @@ def test_estimators_read_the_sample_stream():
     # an informative draw has m > D under pure Schur-Weyl draws, m < D under the mixture
     n, d, k, seed = 30, 12, 500, 3
     for fn, share in ((pmax_estimate_schur_weyl, 0.0), (pmax_estimate_plancherel, 0.99)):
-        logs = [(log_dim_irrep(s), log_multiplicity(s, d)) for s in draw_shapes(n, d, k, seed, share)]
-        informative = sum((dim < mult) if share == 0.0 else (mult < dim) for dim, mult in logs)
+        pairs = [(dim_irrep(s), multiplicity(s, d)) for s in draw_shapes(n, d, k, seed, share)]
+        informative = sum((dim < mult) if share == 0.0 else (mult < dim) for dim, mult in pairs)
         assert fn(n, d, k, seed).informative == informative > 0
+
+
+def test_log_dim_mult_decides_m_equals_d_exactly():
+    # equal logs exactly where m = D; elsewhere ln m - ln D has the sign of m - D
+    for n in range(1, 21):
+        diagrams = list(enumerate_partitions(n))
+        for d in range(1, n + 2):
+            for rows in diagrams:
+                if len(rows) > d:
+                    continue
+                log_dim, log_mult = _log_dim_mult(rows, d)
+                dim, mult = dim_irrep(rows), multiplicity(rows, d)
+                assert (log_dim == log_mult) == (dim == mult), (rows, d)
+                assert (log_mult > log_dim) == (mult > dim), (rows, d)
+
+
+def test_schur_weyl_bars_cover_the_exact_value_at_ties():
+    # at (14, 2) most draws have m = D, which is never informative, so no
+    # run may report a zero bar, and the bars must cover the exact value
+    exact = float(quantum_pmax_exact(CodingInstance(14, 2)).p_quantum)
+    runs = [pmax_estimate_schur_weyl(14, 2, 100, seed) for seed in range(40)]
+    assert all(run.stderr > 0.0 for run in runs)
+    assert sum(abs(run.estimate - exact) <= 4 * run.stderr for run in runs) >= 39
+
+
+def test_plancherel_draws_with_m_at_least_d_are_not_informative():
+    # at (3, 3) every diagram has m >= D, so no draw carries the gap to 1
+    assert all(multiplicity(rows, 3) >= dim_irrep(rows) for rows in enumerate_partitions(3))
+    assert pmax_estimate_plancherel(3, 3, 200, seed=0).informative == 0
 
 
 def test_both_estimators_agree():
@@ -206,11 +236,13 @@ def test_both_estimators_agree():
     (30, 6, 2_000, 1),  # no informative Schur-Weyl draw: the rule-of-three bar
     (2000, 200, 1, 0),  # a weight far below the float range
 ])
-def test_split_estimates_equal_one_process(n, d, k, seed):
+def test_split_estimates_equal_one_process(split_into, n, d, k, seed):
     for alpha in (PLANCHEREL_SHARE, 0.0):
-        serial = _mixture_estimate(n, d, k, seed, alpha, 1)
+        split_into(1)
+        serial = _mixture_estimate(n, d, k, seed, alpha)
         for shares in (2, 3):
-            split = _mixture_estimate(n, d, k, seed, alpha, shares)
+            split_into(shares)
+            split = _mixture_estimate(n, d, k, seed, alpha)
             assert repr(split) == repr(serial), (alpha, shares)  # every float bit for bit
     if (n, d) == (30, 6):
         assert serial.informative == 0 and serial.ratio_stderr > 0

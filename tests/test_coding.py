@@ -236,33 +236,39 @@ def test_pmax_exact_matches_full_enumeration_n23_to_40(instance):
 
 # ------------------------------------------- the search split over processes
 
-def test_split_search_equals_serial_search():
+def test_split_search_equals_serial_search(split_into):
     # both sides of m = D up to N = 14, then the side quantum_pmax_exact
     # searches: the other side keeps nearly every diagram at N = 30
     for n in range(1, 31):
         for d in range(1, n + 2):
             sides = (False, True) if n <= 14 else (CodingInstance(n, d).above_critical,)
             for above in sides:
-                serial = _gap_side(n, d, above, 1)
+                split_into(1)
+                serial = _gap_side(n, d, above)
                 for shares in (2, 3):
-                    assert _gap_side(n, d, above, shares) == serial, (n, d, above, shares)
+                    split_into(shares)
+                    assert _gap_side(n, d, above) == serial, (n, d, above, shares)
 
 
 @pytest.mark.parametrize("n, d", [(50, 18), (50, 25)])
-def test_split_search_equals_serial_search_n50(n, d):
+def test_split_search_equals_serial_search_n50(split_into, n, d):
     above = CodingInstance(n, d).above_critical
-    serial = _gap_side(n, d, above, 1)
-    assert _gap_side(n, d, above, 2) == _gap_side(n, d, above, 3) == serial
+    results = []
+    for shares in (1, 2, 3):
+        split_into(shares)
+        results.append(_gap_side(n, d, above))
+    assert results[0] == results[1] == results[2]
 
 
-def test_both_sides_of_the_gap_agree():
+def test_both_sides_of_the_gap_agree(split_into):
     # d^N - (m > D side) and N! - (m < D side) share no term; both run the
     # rows of length 1 that finish their leaf in one step
+    split_into(1)
     for n in range(1, 27):
         nfact = math.factorial(n)
         for d in range(1, n + 2):
-            below = d**n - _gap_side(n, d, False, 1)[0]
-            assert below == nfact - _gap_side(n, d, True, 1)[0], (n, d)
+            below = d**n - _gap_side(n, d, False)[0]
+            assert below == nfact - _gap_side(n, d, True)[0], (n, d)
 
 
 def test_search_counts():

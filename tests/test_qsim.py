@@ -470,12 +470,10 @@ def test_orbit_rank_rejects_bad_sector():
 # --------------------------------------------------------- orthogonality
 
 def test_orthogonality_check_n3():
-    rep = orthogonality_check_n3()
-    assert rep["cross_irrep_residual"] < 1e-12
-    assert rep["same_irrep_residual"] < 1e-12
-    assert rep["alignment_residual"] < 1e-12
-    for v in rep["phi_projection_sq_norms"].values():
-        assert abs(v - 2 / 6) < 1e-12
+    relations, copies = orthogonality_check_n3()
+    assert relations < 1e-12
+    assert copies < 1e-12
+    assert qsim.N3_COPY_SHARE == 1 / 3  # D/n! = 2/3!
 
 
 def test_orthogonality_check_n3_flags_a_misaligned_copy(monkeypatch):
@@ -485,9 +483,10 @@ def test_orthogonality_check_n3_flags_a_misaligned_copy(monkeypatch):
     basis = qsim.n3_irrep_basis()
     swapped = {**basis, "2,1": basis["2,2"], "2,2": basis["2,1"]}
     monkeypatch.setattr(qsim, "n3_irrep_basis", lambda: swapped)
-    rep = orthogonality_check_n3()
-    assert rep["same_irrep_residual"] > 1.0 and rep["alignment_residual"] > 1.0
-    assert rep["cross_irrep_residual"] < 1e-12
+    relations, copies = orthogonality_check_n3()
+    assert relations > 1.0
+    # the projection onto a copy does not depend on the order of its basis
+    assert copies < 1e-12
 
 
 # --------------------------------------------------- classical channel MC

@@ -278,9 +278,21 @@ def test_schur_weyl_frequency_n2_d2():
     assert abs(hits / draws - 0.75) < 3 * sigma
 
 
-def test_plancherel_chi_square_n6():
-    from scipy.stats import chi2
+def chi2_sf_even_df(x: float, df: int) -> float:
+    """P(chi^2 with df degrees of freedom > x) for an even df = 2k:
+    e^(-x/2) * sum over i < k of (x/2)^i / i!."""
+    assert df % 2 == 0
+    half = x / 2
+    return math.exp(-half) * sum(half**i / math.factorial(i) for i in range(df // 2))
 
+
+def test_chi2_sf_even_df():
+    # chi^2 with 2 degrees of freedom is exponential with mean 2; 9.3418177656 is the median of chi^2_10
+    assert chi2_sf_even_df(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-15)
+    assert chi2_sf_even_df(9.34181776559197, 10) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_plancherel_chi_square_n6():
     n, draws = 6, 100_000
     weights = {
         diag: Fraction(dim_irrep(diag) ** 2, math.factorial(n))
@@ -291,7 +303,7 @@ def test_plancherel_chi_square_n6():
         (counts.get(rows, 0) - draws * float(w)) ** 2 / (draws * float(w))
         for rows, w in weights.items()
     )
-    p_value = chi2.sf(stat, df=len(weights) - 1)
+    p_value = chi2_sf_even_df(stat, len(weights) - 1)
     assert p_value > 1e-3
 
 
