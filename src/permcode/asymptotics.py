@@ -58,7 +58,9 @@ class BoundCheckReport:
 class McEstimate:
     """Monte Carlo estimate of the optimal success probability,
     ratio * e^log_scale with error bar ratio_stderr * e^log_scale, from
-    ``samples`` draws; the instance and the seed are the caller's."""
+    ``samples`` draws; the instance and the seed are the caller's.  The
+    sampled mean relative to the estimator's own trivial bound e^log_bound is
+    ratio * e^(log_scale - log_bound), at any scale."""
 
     samples: int
     method: str
@@ -66,8 +68,12 @@ class McEstimate:
     ratio: float
     ratio_stderr: float
     log_scale: float
+    # ln of the trivial bound the mean is sampled against: ln(d^n/n!) for pure
+    # Schur-Weyl draws, 0 otherwise; log_scale differs from it only by a shift
+    log_bound: float
     # draws from the diagrams that carry the gap between the estimate and its
-    # trivial bound; with none, ratio_stderr is the rule-of-three bound
+    # trivial bound; with none, or with no positive weight, ratio_stderr is
+    # the rule-of-three bound
     informative: int
     # which error bar ratio_stderr is, as the report names it
     bar: str
@@ -273,17 +279,21 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     or 0 when the diagram has more than d rows: a function of ln(m/D) alone.
     The weight is bounded by min(1/alpha, B/(1-alpha)), and it is evaluated
     in log space because B over- or underflows a float at large n.  Where
-    every weight would underflow a normal float, the weights are kept
-    relative to the largest one, which moves into the scale.
+    the square of the largest weight would underflow a normal float, the
+    weights are kept relative to the largest one, which moves into the scale;
+    a bar from the weight bound (below) moves it to that bound where larger.
 
     The sampled mean is kept relative to the trivial bound that P_max falls
     short of: B for pure Schur-Weyl draws (alpha = 0), 1 otherwise.  A draw is
     informative when its diagram lies where that shortfall comes from: m > D
-    against B, m < D against 1, never m = D, which is decided exactly.  If no
-    draw was informative, the unseen set has q-mass below 1 - 0.05^(1/k) at
-    95% confidence (the rule of three, about 3/k for k draws), and the error
-    bar of the mean is raised to that mass times the weight bound.  A single
-    draw shows no spread, so its error bar is the weight bound itself.  Only where q puts all its mass on one
+    against B, m < D against 1, never m = D, which is decided exactly.  The
+    error bar is the draws' spread only when at least two draws, one of them
+    informative, gave some positive weight.  If no draw was informative, or
+    every weight was 0, the diagrams that carry the gap went unseen: their
+    q-mass is below 1 - 0.05^(1/k) at 95% confidence (the rule of three,
+    about 3/k for k draws), and the error bar of the mean is raised to that
+    mass times the weight bound.  A single draw shows no spread, so its error
+    bar is the weight bound itself.  Only where q puts all its mass on one
     diagram (n = 1, or d = 1 with pure Schur-Weyl draws) is a zero bar exact.
     ``bar`` names which of these error bars the estimate reports.
 
@@ -296,7 +306,7 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
     neg_inf = float("-inf")
     log_bound = log_counting_bound(n, d)
     relative_to_bound = alpha == 0.0
-    log_scale = log_bound if relative_to_bound else 0.0
+    log_scale = log_mean_bound = log_bound if relative_to_bound else 0.0
     log_alpha = math.log(alpha) if alpha > 0.0 else neg_inf
     log_beta = math.log1p(-alpha)
     total = total_sq = 0.0
@@ -321,17 +331,17 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
         rel += v
         rel_sq += v * v
     single_shape = n == 1 or (relative_to_bound and d == 1)
+    sampled = informative > 0 and sample_count > 1 and top > neg_inf
     log_weight_cap = min(-log_alpha, log_bound - log_beta)
-    # one draw shows no spread, so its bar is the weight bound itself, which
-    # the scale then keeps in the float range
-    peak = max(top, log_weight_cap - log_scale) if sample_count == 1 and not single_shape else top
-    if neg_inf < peak < math.log(sys.float_info.min):
+    # a bar from the weight bound is kept in the float range by the scale too
+    peak = top if sampled or single_shape else max(top, log_weight_cap - log_scale)
+    if neg_inf < peak and 2 * peak < math.log(sys.float_info.min):  # the squares would underflow
         log_scale += peak
         total, total_sq = rel * math.exp(top - peak), rel_sq * math.exp(2 * (top - peak))
     ratio, ratio_stderr = _mean_stderr(total, total_sq, sample_count)
     if single_shape:  # the draws' spread is summation roundoff
         ratio_stderr, bar = 0.0, "one possible shape, exact"
-    elif informative and sample_count > 1:
+    elif sampled:
         bar = "sampled error bar"
     else:
         unseen_mass = 1.0 if sample_count == 1 else 1.0 - RULE_OF_THREE_MISS ** (1.0 / sample_count)
@@ -339,7 +349,8 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
         bar = "one draw, weight-bound error bar" if sample_count == 1 else "rule-of-three error bar"
     return McEstimate(
         samples=sample_count, method="schur-weyl-mc" if relative_to_bound else "plancherel-mc",
-        ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, informative=informative, bar=bar,
+        ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, log_bound=log_mean_bound,
+        informative=informative, bar=bar,
     )
 
 
@@ -351,9 +362,10 @@ def pmax_estimate_plancherel(n: int, d: int, sample_count: int, seed: int) -> Mc
 
     The weight is at most 1/PLANCHEREL_SHARE, so the estimate is unbiased
     with a light tail even where min(1, m/D) is a rare small value (d/n below
-    the critical ratio); it may exceed 1 by sampling noise.  ``ratio`` equals
-    ``estimate``.  If no draw had m < D, the error bar is the rule-of-three
-    bound.  Deterministic given the seed.
+    the critical ratio); it may exceed 1 by sampling noise.  Its bound is 1
+    (``log_bound`` = 0), so the sampled mean is ``estimate``.  If no draw had
+    m < D, or every weight was 0, the error bar is the rule-of-three bound.
+    Deterministic given the seed.
     """
     return _mixture_estimate(n, d, sample_count, seed, PLANCHEREL_SHARE)
 

@@ -43,6 +43,7 @@ from .qsim import (
     covariant_slack,
     orthogonality_check_n3,
     pgm_success,
+    random_povm,
     success_probability,
     symmetrize_elements,
     symmetrize_povm,
@@ -54,7 +55,6 @@ EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 LOG10_2 = math.log10(2)
 _WIDE = Context(prec=30)  # for values whose scale leaves the float range
-VERIFY_SUITES = ("n3", "symmetrize", "classical", "all")
 SYMMETRIZE_POVMS = 20  # random POVMs per symmetrize suite
 
 
@@ -66,15 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_str(v: int) -> str:
-    """Decimal digits of ``v``, or a note of how many there are when Python's
-    limit on int-to-str conversion (4300 digits by default) refuses them."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
-    bits = abs(v).bit_length()
-    if not limit or bits * LOG10_2 < limit:  # at most floor(bits * log10(2)) + 1 digits
+    """Decimal digits of ``v``, or, where Python's limit on int-to-str
+    conversion (4300 digits by default) refuses them, a note of how many
+    there are."""
+    try:
         return str(v)
-    k = int(bits * LOG10_2)  # v has k or k + 1 digits
-    digits = k + 1 if abs(v) >= 10**k else k
-    return str(v) if digits <= limit else f"<{digits}-digit integer, above the {limit}-digit print limit>"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        k = int(abs(v).bit_length() * LOG10_2)  # v has k or k + 1 digits
+        digits = k + 1 if abs(v) >= 10**k else k
+        return f"<{digits}-digit integer, above the {sys.get_int_max_str_digits()}-digit print limit>"
 
 
 def frac_str(x: Fraction) -> str:
@@ -215,9 +215,10 @@ def cmd_pmax(args: argparse.Namespace) -> None:
     row = {"n": args.n, "d": args.d, **_quantum_columns(inst, result)}
     if isinstance(result, McEstimate):
         row.update(dim_w="", informative_draws=result.informative)
+        shift = result.log_scale - result.log_bound  # exactly 0.0 unless the scale moved
         lines = [
             f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({result.method})",
-            f"sampled_mean = {dec_str(result.ratio)} +/- {dec_str(result.ratio_stderr)}",
+            f"sampled_mean = {_scaled_str(result.ratio, shift)} +/- {_scaled_str(result.ratio_stderr, shift)}",
             f"informative_draws = {result.informative} of {result.samples} ({result.bar})",
         ]
     else:
@@ -272,7 +273,7 @@ def cmd_sample(args: argparse.Namespace) -> None:
     _emit(args, _meta(args, {"measure": args.measure, "count": args.count}), rows, lines)
 
 
-def _verify_n3_checks() -> list[tuple[str, float, float]]:
+def _verify_n3_checks(_seed: int) -> list[tuple[str, float, float]]:
     psi, seed = build_n3_example()
     overlap_resid = max(
         abs(abs(psi.conj() @ psi[build_gamma(p, 3, 2)]) - 0.2)
@@ -295,32 +296,17 @@ def _verify_n3_checks() -> list[tuple[str, float, float]]:
 def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(seed)
     n, d = 3, 2
-    dim = d**n
-    perms = all_perms(n)
-    indices = {p: build_gamma(p, n, d) for p in perms}
+    indices = {p: build_gamma(p, n, d) for p in all_perms(n)}
     psi, _ = build_n3_example()
-    max_cov = 0.0
-    max_success_shift = 0.0
+    max_cov = max_success_shift = 0.0
     for _ in range(SYMMETRIZE_POVMS):
-        # random POVM: normalized conjugated random PSD matrices
-        raws = []
-        for _ in perms:
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            raws.append(m @ m.conj().T)
-        total = sum(raws)
-        evals, evecs = np.linalg.eigh(total)
-        inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
-        raw = {p: inv_sqrt @ e @ inv_sqrt for p, e in zip(perms, raws)}
+        raw = random_povm(rng, n, d)
         povm_seed = symmetrize_povm(raw, n, d)
         averaged = symmetrize_elements(raw, n, d)
         for p, idx in indices.items():
             max_cov = max(max_cov, float(np.abs(averaged[p] - povm_seed[np.ix_(idx, idx)]).max()))
-        raw_success = sum(
-            np.real(psi[idx].conj() @ raw[p] @ psi[idx]) for p, idx in indices.items()
-        ) / len(perms)
-        max_success_shift = max(
-            max_success_shift, abs(success_probability(psi, povm_seed, n, d) - raw_success)
-        )
+        raw_success = sum(np.real(psi[idx].conj() @ raw[p] @ psi[idx]) for p, idx in indices.items()) / len(indices)
+        max_success_shift = max(max_success_shift, abs(success_probability(psi, povm_seed, n, d) - raw_success))
     return [
         ("symmetrized-covariance", max_cov, 1e-12),
         ("symmetrized-success-preserved", max_success_shift, 1e-12),
@@ -329,26 +315,27 @@ def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
 
 def _verify_classical_checks(seed: int) -> list[tuple[str, float, float]]:
     checks = []
-    for n, d, target in ((3, 2, 0.5), (4, 2, 0.25)):
+    for n, d in ((3, 2), (4, 2)):
+        target = float(classical_success(CodingInstance(n, d)))
         p_hat, stderr = classical_channel_mc(n, d, 100_000, seed)
         checks.append((f"classical-channel-{n}-{d}", abs(p_hat - target) / max(stderr, 1e-12), 4.0))
     return checks
 
 
+# each suite's checks as (check_name, residual, tolerance), from the seed
+SUITES = {"n3": _verify_n3_checks, "symmetrize": _verify_symmetrize_checks, "classical": _verify_classical_checks}
+VERIFY_SUITES = (*SUITES, "all")
+
+
 def verify_checks(suite: str, seed: int) -> list[dict]:
     """The checks of one verify suite, each a dict of check_name, max_residual,
-    tolerance and pass.  ``suite`` is one of ``VERIFY_SUITES``; "all" runs the
-    other three.  ``seed`` drives the random POVMs of "symmetrize" and the
-    trials of "classical"."""
+    tolerance and pass.  ``suite`` is a key of ``SUITES`` or "all", which runs
+    every suite of the table in its order.  ``seed`` drives the random POVMs
+    of "symmetrize" and the trials of "classical"."""
     if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
-    checks = []
-    if suite in ("n3", "all"):
-        checks.extend(_verify_n3_checks())
-    if suite in ("symmetrize", "all"):
-        checks.extend(_verify_symmetrize_checks(seed))
-    if suite in ("classical", "all"):
-        checks.extend(_verify_classical_checks(seed))
+    runs = SUITES.values() if suite == "all" else [SUITES[suite]]
+    checks = [check for run in runs for check in run(seed)]
     return [
         {"check_name": name, "max_residual": float(resid), "tolerance": tol, "pass": bool(resid <= tol)}
         for name, resid, tol in checks
@@ -366,8 +353,6 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> None:
     # every argument is checked before the first check runs
-    if args.kerov_n < 1:
-        raise ValueError(f"--kerov-n must be >= 1, got {args.kerov_n}")
     check_enumerable(args.kerov_n, args.cap)
     row_n, row_d = args.kerov_row_n, args.kerov_row_d
     check_row_bound_args(row_n, row_d, args.cap)

@@ -181,6 +181,18 @@ def symmetrize_elements(
     return _averaged(raw_elements, n, d, all_perms(n))
 
 
+def random_povm(rng: np.random.Generator, n: int, d: int) -> dict[Perm, np.ndarray]:
+    """A random POVM, one element per permutation of ``all_perms(n)``: M M^dagger
+    for each in turn, M = X + iY with X, Y standard normal d^n x d^n draws from
+    ``rng``, all conjugated by T^(-1/2), T their sum, so that they sum to I."""
+    dim, perms = _dense_dim(n, d), all_perms(n)
+    gaussians = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in perms)
+    raws = [m @ m.conj().T for m in gaussians]
+    evals, evecs = np.linalg.eigh(sum(raws))
+    inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
+    return {p: inv_sqrt @ e @ inv_sqrt for p, e in zip(perms, raws)}
+
+
 def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> np.ndarray:
     """Group-average a POVM indexed by permutations into the seed of a
     covariant one, the identity's element of ``symmetrize_elements``: each

@@ -211,6 +211,15 @@ def test_schur_weyl_bars_cover_the_exact_value_at_ties():
     assert sum(abs(run.estimate - exact) <= 4 * run.stderr for run in runs) >= 39
 
 
+def test_plancherel_bars_cover_the_exact_value_without_positive_weights():
+    # at (40, 4) a Plancherel shape rarely has at most 4 rows, so a run often
+    # draws weights of 0 only, and none of its bars may be 0
+    exact = float(quantum_pmax_exact(CodingInstance(40, 4)).p_quantum)
+    runs = [pmax_estimate_plancherel(40, 4, 100, seed) for seed in range(40)]
+    assert all(run.ratio_stderr > 0.0 for run in runs)
+    assert sum(abs(run.estimate - exact) <= 4 * run.stderr for run in runs) >= 39
+
+
 def test_plancherel_draws_with_m_at_least_d_are_not_informative():
     # at (3, 3) every diagram has m >= D, so no draw carries the gap to 1
     assert all(multiplicity(rows, 3) >= dim_irrep(rows) for rows in enumerate_partitions(3))

@@ -291,6 +291,29 @@ def test_pmax_reports_informative_draws(capsys):
     assert "informative_draws = 5 of 5 (one possible shape, exact)" in out
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # the one positive weight's square underflows: the scale moves, and the bar is sampled
+        ("--n 200 --d 5 --samples 100 --seed 0",
+         ["p_quantum = 7.89063995349e-236 +/- 7.89063995349e-236 (plancherel-mc)"]),
+        # every weight is 0: the bar is the rule of three on the weight bound's scale
+        ("--n 1000 --d 5 --samples 300 --seed 1",
+         ["p_quantum = 0 +/- 2.3044923906e-1869 (plancherel-mc)", "sampled_mean = 0 +/- 2.3044923906e-1869",
+          "informative_draws = 300 of 300 (rule-of-three error bar)"]),
+        # after a shift, the sampled mean is still relative to the bound 1
+        ("--n 1000 --d 5 --samples 300 --seed 2",
+         ["p_quantum = 3.0924226853e-1869 +/- 1.53843487419e-1869 (plancherel-mc)",
+          "sampled_mean = 3.0924226853e-1869 +/- 1.53843487419e-1869"]),
+    ],
+    ids=["underflowing-squares", "no-positive-weight", "shifted-sampled-mean"],
+)
+def test_pmax_bars_and_means_far_below_the_float_range(capsys, argv, lines):
+    code, out, _ = run_cli(capsys, ["pmax", "--method", "plancherel", *argv.split()])
+    assert code == 0
+    assert all(line in out.splitlines() for line in lines), out
+
+
 def test_pmax_rejects_bad_instance(capsys):
     code, _, err = run_cli(capsys, ["pmax", "--n", "0", "--d", "2"])
     assert code == 1 and "error" in err
@@ -500,6 +523,14 @@ def test_verify_completeness_fails_for_elements_above_identity(capsys, monkeypat
     assert rows["povm-completeness"]["max_residual"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_verify_suites_come_from_one_table():
+    # "all" is every suite of the table, run in the table's order
+    assert cli.VERIFY_SUITES == (*cli.SUITES, "all")
+    for seed in (0, 2024):
+        each = [check for suite in cli.SUITES for check in cli.verify_checks(suite, seed)]
+        assert cli.verify_checks("all", seed) == each
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "classical", "--seed", "4"])
     assert code == 0
@@ -550,6 +581,7 @@ def test_bounds_rejects_nan_constant(capsys):
     "option,value,message",
     [
         ("--kerov-n", "67", "n=67 exceeds the enumeration cap 66; use the sampling paths instead"),
+        ("--kerov-n", "0", "enumeration requires n >= 1, got 0"),
         ("--kerov-row-n", "67", "n=67 exceeds the enumeration cap 66; use the sampling paths instead"),
         ("--kerov-row-n", "0", "need n, d >= 1, got (0, 15)"),
         ("--kerov-row-d", "0", "need n, d >= 1, got (30, 0)"),
@@ -558,7 +590,7 @@ def test_bounds_rejects_nan_constant(capsys):
         ("--c", "inf", "the growth constant must be finite, got inf"),
         ("--c", "-inf", "the growth constant must be finite, got -inf"),
     ],
-    ids=["kerov-n-67", "kerov-row-n-67", "kerov-row-n-0", "kerov-row-d-0", "erdos-n-0", "c-nan", "c-inf", "c-minus-inf"],
+    ids=["kerov-n-67", "kerov-n-0", "kerov-row-n-67", "kerov-row-n-0", "kerov-row-d-0", "erdos-n-0", "c-nan", "c-inf", "c-minus-inf"],
 )
 def test_bounds_rejects_kerov_n_above_cap_up_front(capsys, monkeypatch, option, value, message):
     # every bad argument is refused before the column-tail check runs, which

@@ -24,6 +24,7 @@ from permcode.qsim import (
     orbit_rank,
     orthogonality_check_n3,
     pgm_success,
+    random_povm,
     success_probability,
     symmetrize_elements,
     symmetrize_povm,
@@ -212,18 +213,6 @@ def test_completion_of_elements_above_identity_raises(monkeypatch):
 
 # --------------------------------------------------------- symmetrization
 
-def _random_povm(rng, n, d):
-    dim = d**n
-    raws = []
-    for _ in range(math.factorial(n)):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raws.append(m @ m.conj().T)
-    total = sum(raws)
-    evals, evecs = np.linalg.eigh(total)
-    inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
-    return {p: inv_sqrt @ e @ inv_sqrt for p, e in zip(all_perms(n), raws)}
-
-
 def test_symmetrize_fixed_point():
     _, seed = build_n3_example()
     slack = covariant_slack(seed, 3, 2)
@@ -237,7 +226,7 @@ def test_symmetrize_fixed_point():
 def test_symmetrize_random_povm_covariance_and_success():
     rng = np.random.default_rng(5)
     psi, _ = build_n3_example()
-    raw = _random_povm(rng, 3, 2)
+    raw = random_povm(rng, 3, 2)
     seed = symmetrize_povm(raw, 3, 2)
     averaged = symmetrize_elements(raw, 3, 2)
     for p in all_perms(3):
