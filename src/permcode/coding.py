@@ -264,8 +264,6 @@ def _over_shares(
     raises InternalInvariantError here.  However this call ends, no child
     outlives it.
     """
-    if len(sizes) == 1:
-        return [work(0)]
     pending: dict[int, tuple[int, int]] = {}  # pid -> (share, read end of its pipe), until reaped
     try:
         for j in range(1, len(sizes)):

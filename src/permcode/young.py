@@ -148,8 +148,6 @@ def multiplicity(rows: Sequence[int], d: int) -> int:
     """Multiplicity of the irrep inside (C^d)^(tensor n): semistandard tableau count."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if len(rows) > d:
-        return 0
     content = _content_product(rows, d)
     hooks = _hook_product(rows)
     q, r = divmod(content, hooks)

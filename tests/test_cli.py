@@ -583,10 +583,10 @@ def test_bounds_rejects_nan_constant(capsys):
         ("--kerov-n", "67", "n=67 exceeds the enumeration cap 66; use the sampling paths instead"),
         ("--kerov-n", "0", "enumeration requires n >= 1, got 0"),
         ("--kerov-row-n", "67", "n=67 exceeds the enumeration cap 66; use the sampling paths instead"),
-        ("--kerov-row-n", "0", "need n, d >= 1, got (0, 15)"),
-        ("--kerov-row-d", "0", "need n, d >= 1, got (30, 0)"),
+        ("--kerov-row-n", "0", "enumeration requires n >= 1, got 0"),
+        ("--kerov-row-d", "0", "need d >= 1, got 0"),
         ("--erdos-n", "0", "n_max must be >= 1, got 0"),
-        ("--c", "nan", "the growth constant must be a number, got nan"),
+        ("--c", "nan", "the growth constant must be finite, got nan"),
         ("--c", "inf", "the growth constant must be finite, got inf"),
         ("--c", "-inf", "the growth constant must be finite, got -inf"),
     ],
