@@ -19,6 +19,7 @@ from .young import (
     DEFAULT_ENUMERATION_CAP,
     _content_product,
     check_enumerable,
+    conjugate,
     enumerate_partitions,
     log_dim_irrep,
     log_multiplicity,
@@ -94,15 +95,42 @@ def times_exp(x: float, log_scale: float) -> float:
         return math.inf if x else 0.0
 
 
+#: ln k at index k, from k = 0 (-inf) up to the largest hook a diagram has had
+_LOG_INTS = [float("-inf")]
+
+
 @lru_cache(maxsize=65536)
 def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
     """(ln D, ln m) of a Monte Carlo draw's diagram at d, ln m = -inf at
-    m = 0.  The two float sums differ by roundoff at m = D, so within a bound
-    on it, 8 (n + 1) ulps of 1 + ln n!, m = D is decided by the exact search's
+    m = 0, in one pass over the cells.  The floats are ``log_dim_irrep`` and
+    ``log_multiplicity`` bit for bit: the same logs, summed in the same
+    order, with ln h read from ``_LOG_INTS`` and ln(d + c) from a list over
+    the diagram's contents c, so no table is sized by d.
+
+    The two float sums differ by roundoff at m = D, so within a bound on it,
+    8 (n + 1) ulps of 1 + ln n!, m = D is decided by the exact search's
     integer test C = prod over cells of (d + content) = n!, and then ln m is
     ln D.  Draws repeat diagrams, so the pairs are cached."""
-    log_dim, log_mult = log_dim_irrep(rows), log_multiplicity(rows, d)
-    n = sum(rows)
+    n, height = sum(rows), len(rows)
+    logs = _LOG_INTS
+    # the hook of cell (i, j) is (rows[i] - i - 1) + (conj[j] - j), at most
+    # rows[0] + height - 1 <= n at (0, 0)
+    logs.extend(map(math.log, range(len(logs), rows[0] + height)))
+    col_terms = [c - j for j, c in enumerate(conjugate(rows))]
+    if height > d:  # m = 0: ln m is -inf, and zeros stand in for the logs of contents <= 0
+        log_contents = [0.0] * (height + rows[0] - 1)
+    else:  # ln(d + c) for the contents c = j - i from 1 - height up, at index c + height - 1
+        log_contents = list(map(math.log, range(d + 1 - height, d + rows[0])))
+    log_dim, log_mult = math.lgamma(n + 1), 0.0
+    for i, r in enumerate(rows):
+        row_term = r - i - 1
+        start = height - 1 - i
+        for col_term, log_content in zip(col_terms[:r], log_contents[start:start + r]):
+            log_hook = logs[row_term + col_term]
+            log_dim -= log_hook
+            log_mult += log_content - log_hook
+    if height > d:
+        return log_dim, float("-inf")
     roundoff = 8 * (n + 1) * sys.float_info.epsilon * (1.0 + math.lgamma(n + 1))
     if abs(log_mult - log_dim) <= roundoff and _content_product(rows, d) == math.factorial(n):
         return log_dim, log_dim
@@ -204,18 +232,36 @@ def _log_add(x: float, y: float) -> float:
 
 
 def _draw_words(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[list[int]]:
-    """The words whose RSK shapes ``draw_shapes`` yields.  A permutation is
-    shuffled in place, so each word is valid only until the next is drawn."""
+    """The words whose RSK shapes ``draw_shapes`` yields, with letters from
+    0.  Each uniform choice below m is ``random.Random._randbelow``'s: draw
+    getrandbits(k), k = m.bit_length(), until the draw is below m.  So a
+    permutation is ``rng.shuffle`` of range(n) and a word is ``rng.randint(1,
+    d)`` n times, less 1, from the same random numbers, leaving the same
+    state.  A permutation is shuffled in place, so each word is valid only
+    until the next is drawn."""
     if n < 1 or count < 1 or (plancherel_share < 1.0 and d < 1):
         raise ValueError(f"need n, count >= 1 and, for Schur-Weyl draws, d >= 1, got ({n}, {count}, {d})")
     rng = random.Random(seed)
-    perm = list(range(1, n + 1))
+    getrandbits = rng.getrandbits
+    letter_bits = d.bit_length()
+    perm = list(range(n))
     for _ in range(count):
         if plancherel_share > 0.0 and rng.random() < plancherel_share:
-            rng.shuffle(perm)
+            for i in range(n - 1, 0, -1):  # swap perm[i] with perm[j], j uniform in 0..i
+                k = (i + 1).bit_length()
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                perm[i], perm[j] = perm[j], perm[i]
             yield perm
         else:
-            yield [rng.randint(1, d) for _ in range(n)]
+            word = []
+            for _ in range(n):
+                letter = getrandbits(letter_bits)
+                while letter >= d:
+                    letter = getrandbits(letter_bits)
+                word.append(letter)
+            yield word
 
 
 def draw_shapes(n: int, d: int, count: int, seed: int, plancherel_share: float) -> Iterator[tuple[int, ...]]:

@@ -1,7 +1,9 @@
 import functools
 import math
 import os
+import random
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from permcode.asymptotics import (
     HARDY_RAMANUJAN_C,
     KEROV_TOL,
     PLANCHEREL_SHARE,
+    _draw_words,
     _log_dim_mult,
     _mixture_estimate,
     _tally,
@@ -23,7 +26,14 @@ from permcode.asymptotics import (
 )
 from permcode.cli import main
 from permcode.coding import CRITICAL_RATIO, CodingInstance, quantum_pmax_exact
-from permcode.young import dim_irrep, enumerate_partitions, multiplicity, partition_count
+from permcode.young import (
+    dim_irrep,
+    enumerate_partitions,
+    log_dim_irrep,
+    log_multiplicity,
+    multiplicity,
+    partition_count,
+)
 
 
 # ---------------------------------------------------------- tail bounds
@@ -203,6 +213,55 @@ def test_log_dim_mult_decides_m_equals_d_exactly():
                 dim, mult = dim_irrep(rows), multiplicity(rows, d)
                 assert (log_dim == log_mult) == (dim == mult), (rows, d)
                 assert (log_mult > log_dim) == (mult > dim), (rows, d)
+
+
+def test_log_dim_mult_is_the_two_log_sums_bit_for_bit(monkeypatch):
+    # the one pass gives log_dim_irrep and log_multiplicity exactly, and
+    # (ln D, ln D) where m = D; its table of ln k never grows past k = n
+    monkeypatch.setattr(asymptotics, "_LOG_INTS", [float("-inf")])
+    for n in range(1, 13):
+        for rows in enumerate_partitions(n):
+            for d in sorted({1, 2, 3, n - 1, n, n + 5, 10**19} - {0}):
+                log_dim = log_dim_irrep(rows)
+                tie = multiplicity(rows, d) == dim_irrep(rows)
+                expected = (log_dim, log_dim if tie else log_multiplicity(rows, d))
+                assert _log_dim_mult.__wrapped__(rows, d) == expected, (rows, d)
+                assert len(asymptotics._LOG_INTS) <= n + 1
+
+
+def _stdlib_words(n, d, count, seed, share):
+    """The words of ``_draw_words``, from Random.shuffle and Random.randint, and the final state."""
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    words = []
+    for _ in range(count):
+        if share > 0.0 and rng.random() < share:
+            rng.shuffle(perm)
+            words.append(list(perm))
+        else:
+            words.append([rng.randint(1, d) for _ in range(n)])
+    return words, rng.getstate()
+
+
+@pytest.mark.parametrize("share", (0.0, PLANCHEREL_SHARE, 1.0))
+def test_draw_words_are_the_stdlib_stream(monkeypatch, share):
+    # the same words, letters shifted by 1, and the same generator state after the last draw
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(asymptotics, "random", SimpleNamespace(Random=Recorded))
+    for n in (1, 2, 30, 1000):
+        count = 3 if n == 1000 else 300
+        for d in (1, 2, 3, 16, 200, 10**19):
+            for seed in (0, 5, 2024):
+                words, state = _stdlib_words(n, d, count, seed, share)
+                drawn = [[letter + 1 for letter in word] for word in _draw_words(n, d, count, seed, share)]
+                assert drawn == words, (n, d, seed)
+                assert made.pop().getstate() == state, (n, d, seed)
 
 
 def test_schur_weyl_bars_cover_the_exact_value_at_ties():
