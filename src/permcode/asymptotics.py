@@ -17,10 +17,10 @@ from typing import Callable, Iterable, Iterator
 from .coding import _over_shares, _share_count
 from .young import (
     DEFAULT_ENUMERATION_CAP,
-    _content_product,
     check_enumerable,
-    conjugate,
+    dim_mult_ratio,
     enumerate_partitions,
+    log_dim_and_mult,
     log_dim_irrep,
     log_multiplicity,
     partition_count,
@@ -41,7 +41,8 @@ RULE_OF_THREE_MISS = 0.05
 KEROV_TOL = 1e-12
 
 #: Draws an estimator deals over its shares at a time: the parent holds the
-#: log ratio of at most this many draws, whatever the sample count.
+#: log ratio of at most this many draws, whatever the sample count, and
+#: ``_log_dim_mult`` caches at most this many diagrams.
 DRAW_BLOCK = 4096
 
 
@@ -95,44 +96,19 @@ def times_exp(x: float, log_scale: float) -> float:
         return math.inf if x else 0.0
 
 
-#: ln k at index k, from k = 0 (-inf) up to the largest hook a diagram has had
-_LOG_INTS = [float("-inf")]
-
-
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=DRAW_BLOCK)
 def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
-    """(ln D, ln m) of a Monte Carlo draw's diagram at d, ln m = -inf at
-    m = 0, in one pass over the cells.  The floats are ``log_dim_irrep`` and
-    ``log_multiplicity`` bit for bit: the same logs, summed in the same
-    order, with ln h read from ``_LOG_INTS`` and ln(d + c) from a list over
-    the diagram's contents c, so no table is sized by d.
+    """(ln D, ln m) of a Monte Carlo draw's diagram at d, from
+    ``log_dim_and_mult``, ln m = -inf at m = 0.
 
     The two float sums differ by roundoff at m = D, so within a bound on it,
-    8 (n + 1) ulps of 1 + ln n!, m = D is decided by the exact search's
-    integer test C = prod over cells of (d + content) = n!, and then ln m is
-    ln D.  Draws repeat diagrams, so the pairs are cached."""
-    n, height = sum(rows), len(rows)
-    logs = _LOG_INTS
-    # the hook of cell (i, j) is (rows[i] - i - 1) + (conj[j] - j), at most
-    # rows[0] + height - 1 <= n at (0, 0)
-    logs.extend(map(math.log, range(len(logs), rows[0] + height)))
-    col_terms = [c - j for j, c in enumerate(conjugate(rows))]
-    if height > d:  # m = 0: ln m is -inf, and zeros stand in for the logs of contents <= 0
-        log_contents = [0.0] * (height + rows[0] - 1)
-    else:  # ln(d + c) for the contents c = j - i from 1 - height up, at index c + height - 1
-        log_contents = list(map(math.log, range(d + 1 - height, d + rows[0])))
-    log_dim, log_mult = math.lgamma(n + 1), 0.0
-    for i, r in enumerate(rows):
-        row_term = r - i - 1
-        start = height - 1 - i
-        for col_term, log_content in zip(col_terms[:r], log_contents[start:start + r]):
-            log_hook = logs[row_term + col_term]
-            log_dim -= log_hook
-            log_mult += log_content - log_hook
-    if height > d:
-        return log_dim, float("-inf")
+    8 (n + 1) ulps of 1 + ln n!, m = D is decided by the exact ratio
+    ``dim_mult_ratio``, and then ln m is ln D.  Draws repeat diagrams at
+    small n, so the pairs of up to one block's draws are cached."""
+    log_dim, log_mult = log_dim_and_mult(rows, d)
+    n = sum(rows)
     roundoff = 8 * (n + 1) * sys.float_info.epsilon * (1.0 + math.lgamma(n + 1))
-    if abs(log_mult - log_dim) <= roundoff and _content_product(rows, d) == math.factorial(n):
+    if abs(log_mult - log_dim) <= roundoff and dim_mult_ratio(rows, d) == 1:
         return log_dim, log_dim
     return log_dim, log_mult
 

@@ -4,8 +4,9 @@ dimensions and multiplicities, and the RSK shape of a word.
 A diagram is the tuple of its row lengths, positive and weakly decreasing.
 All counting is done with arbitrary-precision integers; probabilities are
 exact ``fractions.Fraction`` values.  Log-domain variants (``log_dim_irrep``,
-``log_multiplicity``) are provided for sizes where the exact integers are
-too large to be useful as floats.
+``log_multiplicity``, both read from one pass in ``log_dim_and_mult``) are
+provided for sizes where the exact integers are too large to be useful as
+floats.
 """
 
 from __future__ import annotations
@@ -169,27 +170,46 @@ def dim_mult_ratio(rows: Sequence[int], d: int) -> Fraction:
     return Fraction(math.factorial(n), _content_product(rows, d))
 
 
+#: ln k at index k, from k = 0 (-inf) up to the largest hook a diagram has had
+_LOG_INTS = [float("-inf")]
+
+
+def log_dim_and_mult(rows: Sequence[int], d: int) -> tuple[float, float]:
+    """(ln D, ln m) of the diagram at d in one pass over the cells, ln m =
+    -inf when the diagram has more than d rows.  ln D is lgamma(n + 1) minus
+    each ln h, and ln m sums ln(d + c) - ln h from 0.0, cells in row-major
+    order, with h the hook and c = j - i the content of cell (i, j).  ln h is
+    read from ``_LOG_INTS`` and ln(d + c) from a list over the diagram's
+    contents, so no table is sized by d."""
+    n, height, width = sum(rows), len(rows), rows[0] if rows else 0
+    logs = _LOG_INTS
+    # the hook of cell (i, j) is (rows[i] - i - 1) + (conj[j] - j), at most
+    # width + height - 1 <= n at (0, 0)
+    logs.extend(map(math.log, range(len(logs), width + height)))
+    col_terms = [c - j for j, c in enumerate(conjugate(rows))]
+    if height > d:  # m = 0: ln m is -inf, and zeros stand in for the logs of contents <= 0
+        log_contents = [0.0] * (height + width - 1)
+    else:  # ln(d + c) for the contents c = j - i from 1 - height up, at index c + height - 1
+        log_contents = list(map(math.log, range(d + 1 - height, d + width)))
+    log_dim, log_mult = math.lgamma(n + 1), 0.0
+    for i, r in enumerate(rows):
+        row_term = r - i - 1
+        start = height - 1 - i
+        for col_term, log_content in zip(col_terms[:r], log_contents[start:start + r]):
+            log_hook = logs[row_term + col_term]
+            log_dim -= log_hook
+            log_mult += log_content - log_hook
+    return log_dim, float("-inf") if height > d else log_mult
+
+
 def log_dim_irrep(rows: Sequence[int]) -> float:
     """ln of the irrep dimension, computed as a sum of log hook terms."""
-    n = sum(rows)
-    conj = conjugate(rows)
-    s = math.lgamma(n + 1)
-    for i, r in enumerate(rows):
-        for j in range(r):
-            s -= math.log(r - j + conj[j] - i - 1)
-    return s
+    return log_dim_and_mult(rows, 0)[0]  # at d = 0 no content is logged
 
 
 def log_multiplicity(rows: Sequence[int], d: int) -> float:
     """ln of the multiplicity at d; -inf when the diagram has more than d rows."""
-    if len(rows) > d:
-        return float("-inf")
-    conj = conjugate(rows)
-    s = 0.0
-    for i, r in enumerate(rows):
-        for j in range(r):
-            s += math.log(d - i + j) - math.log(r - j + conj[j] - i - 1)
-    return s
+    return log_dim_and_mult(rows, d)[1]
 
 
 def rsk_shape(word: Sequence[int]) -> tuple[int, ...]:

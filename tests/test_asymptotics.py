@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from permcode import asymptotics, coding
+from permcode import asymptotics, coding, young
 from permcode.asymptotics import (
     DRAW_BLOCK,
     HARDY_RAMANUJAN_C,
@@ -23,10 +23,12 @@ from permcode.asymptotics import (
     kerov_row_bound_check,
     pmax_estimate_plancherel,
     pmax_estimate_schur_weyl,
+    times_exp,
 )
 from permcode.cli import main
 from permcode.coding import CRITICAL_RATIO, CodingInstance, quantum_pmax_exact
 from permcode.young import (
+    conjugate,
     dim_irrep,
     enumerate_partitions,
     log_dim_irrep,
@@ -186,6 +188,11 @@ def test_one_draw_bar_is_the_weight_bound():
     assert one.ratio < one.ratio_stderr < math.inf and one.log_scale < -2000
 
 
+def test_times_exp_leaves_the_float_range_as_inf_or_zero():
+    assert times_exp(2.0, 1e4) == math.inf
+    assert times_exp(0.0, 1e4) == 0.0
+
+
 def test_estimators_deterministic():
     a = pmax_estimate_plancherel(12, 5, 500, seed=3)
     b = pmax_estimate_plancherel(12, 5, 500, seed=3)
@@ -215,18 +222,42 @@ def test_log_dim_mult_decides_m_equals_d_exactly():
                 assert (log_mult > log_dim) == (mult > dim), (rows, d)
 
 
+def _log_dim_per_cell(rows):
+    """ln D summed cell by cell: lgamma(n + 1) minus each ln h, row-major."""
+    conj = conjugate(rows)
+    s = math.lgamma(sum(rows) + 1)
+    for i, r in enumerate(rows):
+        for j in range(r):
+            s -= math.log(r - j + conj[j] - i - 1)
+    return s
+
+
+def _log_mult_per_cell(rows, d):
+    """ln m summed cell by cell from 0.0: ln(d - i + j) - ln h, row-major."""
+    if len(rows) > d:
+        return float("-inf")
+    conj = conjugate(rows)
+    s = 0.0
+    for i, r in enumerate(rows):
+        for j in range(r):
+            s += math.log(d - i + j) - math.log(r - j + conj[j] - i - 1)
+    return s
+
+
 def test_log_dim_mult_is_the_two_log_sums_bit_for_bit(monkeypatch):
-    # the one pass gives log_dim_irrep and log_multiplicity exactly, and
-    # (ln D, ln D) where m = D; its table of ln k never grows past k = n
-    monkeypatch.setattr(asymptotics, "_LOG_INTS", [float("-inf")])
+    # the one pass in young gives the per-cell log sums exactly, and the
+    # memoized draw pass (ln D, ln D) where m = D; the table of ln k never
+    # grows past k = n
+    monkeypatch.setattr(young, "_LOG_INTS", [float("-inf")])
     for n in range(1, 13):
         for rows in enumerate_partitions(n):
             for d in sorted({1, 2, 3, n - 1, n, n + 5, 10**19} - {0}):
-                log_dim = log_dim_irrep(rows)
+                log_dim, log_mult = _log_dim_per_cell(rows), _log_mult_per_cell(rows, d)
+                assert (log_dim_irrep(rows), log_multiplicity(rows, d)) == (log_dim, log_mult), (rows, d)
                 tie = multiplicity(rows, d) == dim_irrep(rows)
-                expected = (log_dim, log_dim if tie else log_multiplicity(rows, d))
+                expected = (log_dim, log_dim if tie else log_mult)
                 assert _log_dim_mult.__wrapped__(rows, d) == expected, (rows, d)
-                assert len(asymptotics._LOG_INTS) <= n + 1
+                assert len(young._LOG_INTS) <= n + 1
 
 
 def _stdlib_words(n, d, count, seed, share):

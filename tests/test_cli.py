@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from permcode import cli
 from permcode.asymptotics import McEstimate
 from permcode.cli import _int_str, dec_str, main, sweep
-from permcode.coding import info_bound
+from permcode.coding import CodingInstance, info_bound
 from permcode.qsim import build_n3_example
 
 
@@ -322,6 +322,8 @@ def test_pmax_rejects_bad_instance(capsys):
 def test_pmax_usage_error(capsys):
     code, _, err = run_cli(capsys, ["pmax", "--n", "3"])
     assert code == 1 and "error" in err
+    with pytest.raises(ValueError, match="unknown method"):
+        cli.pmax(CodingInstance(3, 2), "bogus")
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):
@@ -434,6 +436,11 @@ def test_sweep_rejects_non_positive_ratio(capsys):
     assert code == 1 and out == "" and "ratio must be positive" in err
 
 
+def test_sweep_rejects_an_infinite_color_count(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--r", "1e308", "--n-list", "10"])
+    assert code == 1 and out == "" and "ratio * N must be finite" in err
+
+
 def test_sweep_rejects_empty_n_list(capsys):
     code, out, err = run_cli(capsys, ["sweep", "--r", "0.5", "--n-list", ",,"])
     assert code == 1 and out == "" and "at least one N" in err
@@ -529,6 +536,8 @@ def test_verify_suites_come_from_one_table():
     for seed in (0, 2024):
         each = [check for suite in cli.SUITES for check in cli.verify_checks(suite, seed)]
         assert cli.verify_checks("all", seed) == each
+    with pytest.raises(ValueError, match="unknown suite"):
+        cli.verify_checks("bogus", 0)
 
 
 def test_verify_single_suite(capsys):

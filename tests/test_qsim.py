@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from permcode import qsim
+from permcode import asymptotics, qsim
 from permcode.coding import CodingInstance, balanced_color_classes, classical_success, quantum_pmax_exact
 from permcode.qsim import (
     _color_counts,
@@ -71,6 +71,11 @@ def test_gamma_capacity():
     build_gamma(tuple(range(7)), 7, 2)  # 2^7 = 128 is fine
     with pytest.raises(CapacityError):
         build_gamma(tuple(range(13)), 13, 2)  # 2^13 = 8192 exceeds the cap
+
+
+def test_gamma_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        build_gamma((0, 0, 1), 3, 2)
 
 
 def test_orbit_capacity():
@@ -263,6 +268,10 @@ def test_symmetrize_rejects_incomplete_input():
     raw = {p: np.eye(8) / 7 for p in all_perms(3)}
     with pytest.raises(ValueError, match="identity"):
         symmetrize_povm(raw, 3, 2)
+    # one permutation without an element
+    raw = {p: np.eye(8) / 6 for p in all_perms(3)[1:]}
+    with pytest.raises(ValueError, match="one element per permutation"):
+        symmetrize_povm(raw, 3, 2)
 
 
 def test_symmetrize_rejects_sum_above_identity_in_eigenvalue():
@@ -394,6 +403,16 @@ def test_qsim_reads_no_formula():
     formula_modules = {"permcode.young", "permcode.coding", "permcode.asymptotics"}
     used = {name for name, obj in vars(qsim).items() if getattr(obj, "__module__", None) in formula_modules}
     assert used <= allowed
+
+
+def test_asymptotics_binds_no_private_name_of_young():
+    # young's internals stay behind its public functions: the estimators read
+    # the log pass and the exact ratio, never a helper of their own copy
+    private = {
+        name for name, obj in vars(asymptotics).items()
+        if name.startswith("_") and getattr(obj, "__module__", None) == "permcode.young"
+    }
+    assert private == set()
 
 
 def test_optimal_signal_memory_peak():

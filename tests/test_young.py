@@ -173,6 +173,8 @@ def test_multiplicity_examples():
     assert multiplicity((3,), 2) == 4
     assert multiplicity((1, 1, 1), 2) == 0
     assert multiplicity((2, 1), 2) == 2
+    with pytest.raises(ValueError):
+        multiplicity((2, 1), 0)
 
 
 def test_multiplicity_against_ssyt_backtracking():
@@ -223,6 +225,9 @@ def test_log_domain_matches_exact():
                     assert lm == float("-inf")
                 else:
                     assert math.exp(lm) == pytest.approx(m, rel=1e-12)
+    # the empty diagram, and more rows than d, d <= 0 included
+    assert log_dim_irrep(()) == 0.0 and log_multiplicity((), 3) == 0.0
+    assert log_multiplicity((2, 1), 1) == log_multiplicity((2, 1), -1) == float("-inf")
 
 
 # ------------------------------------------------------------------ RSK
@@ -231,6 +236,8 @@ def test_rsk_examples():
     assert rsk_shape((1, 2, 3)) == (3,)
     assert rsk_shape((3, 2, 1)) == (1, 1, 1)
     assert rsk_shape((2, 1, 2)) == (2, 1)
+    with pytest.raises(ValueError):
+        rsk_shape([])
 
 
 @settings(max_examples=200, deadline=None)
