@@ -16,8 +16,6 @@ from collections import Counter
 from decimal import Context, Decimal
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import (
     HARDY_RAMANUJAN_C,
@@ -41,6 +39,7 @@ from .qsim import (
     build_n3_example,
     classical_channel_mc,
     covariant_slack,
+    np,
     orthogonality_check_n3,
     pgm_success,
     random_povm,
@@ -448,12 +447,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    except ValueError as exc:  # CapacityError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except AssertionError as exc:  # InternalInvariantError included
+    except (ValueError, AssertionError) as exc:  # CapacityError, InternalInvariantError included
+        if isinstance(exc, ValueError) and not _solver_failed(exc):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _solver_failed(exc: ValueError) -> bool:
+    """Whether ``exc`` is numpy's LinAlgError, a ValueError that reports a
+    failed solver, not invalid input.  numpy is read only where a command
+    has already loaded it."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(exc, numpy.linalg.LinAlgError)
 
 
 if __name__ == "__main__":

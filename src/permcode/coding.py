@@ -259,6 +259,9 @@ def _over_shares(
     hooks.  A child runs pure Python on the objects it was forked with, and
     touches neither numpy nor any file but its pipe, so no lock held by
     another thread of this process (numpy's BLAS pool, say) can block it.
+    The commands that fork, ``pmax`` and ``sweep``, fork from a process that
+    has not loaded numpy or its BLAS pool at all: only ``verify`` and the
+    ``qsim`` functions load it.
     The tuple crosses the pipe as marshal bytes, which keep every integer and
     every float bit for bit.  A child that fails, or sends nothing readable,
     raises InternalInvariantError here.  However this call ends, no child

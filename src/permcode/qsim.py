@@ -13,15 +13,19 @@ core, ``_orbit``, gives both sides of the optimum from a generic state psi:
 the rank of its orbit bounds every signal (``orbit_rank``), and the tight
 frame S^(-1/2) psi reaches that bound (``build_optimal_signal``).  It reads
 no character, hook or content.
+
+numpy is imported on first use: ``np`` is a stand-in that loads it on its
+first attribute read, so importing this module, or ``permcode.cli``, loads
+no numpy, and only the commands that call into this module pay for it.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import types
 from functools import lru_cache
-
-import numpy as np
 
 from .coding import balanced_color_classes
 from .young import CapacityError, InternalInvariantError
@@ -32,6 +36,19 @@ ORBIT_CAP = 2**24  # largest n! * d**n for the stacked Gamma indices of one orbi
 COMPLETENESS_TOL = 1e-10  # on the sum of POVM elements, and on |psi|^2 = 1
 
 Perm = tuple[int, ...]
+
+
+class _LazyModule(types.ModuleType):
+    """The module of this name, imported on the first attribute read.  Each
+    attribute read through it is then kept on the stand-in itself."""
+
+    def __getattr__(self, attr: str):
+        value = getattr(importlib.import_module(self.__name__), attr)
+        setattr(self, attr, value)
+        return value
+
+
+np = _LazyModule("numpy")
 
 
 def all_perms(n: int) -> list[Perm]:

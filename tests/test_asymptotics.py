@@ -222,6 +222,18 @@ def test_log_dim_mult_decides_m_equals_d_exactly():
                 assert (log_mult > log_dim) == (mult > dim), (rows, d)
 
 
+def test_log_dim_mult_ties_only_where_the_exact_ratio_is_one(monkeypatch):
+    # two logs within the roundoff window: the exact ratio, not the window, decides m = D
+    x, delta = 0.5, 1e-15
+    monkeypatch.setattr(asymptotics, "log_dim_and_mult", lambda rows, d: (x, x + delta))
+    _log_dim_mult.cache_clear()
+    try:
+        assert _log_dim_mult((2, 1), 3) == (x, x + delta)  # D = 2, m = 8
+        assert _log_dim_mult((1,), 1) == (x, x)  # D = m = 1
+    finally:
+        _log_dim_mult.cache_clear()
+
+
 def _log_dim_per_cell(rows):
     """ln D summed cell by cell: lgamma(n + 1) minus each ln h, row-major."""
     conj = conjugate(rows)

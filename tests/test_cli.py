@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,6 +531,49 @@ def test_verify_completeness_fails_for_elements_above_identity(capsys, monkeypat
     rows = {c["check_name"]: c for c in json.loads(out)["rows"]}
     assert not rows["povm-completeness"]["pass"]
     assert rows["povm-completeness"]["max_residual"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_failed_eigensolver_is_an_internal_error(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but it reports a failed solver, not invalid input
+    def no_convergence(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "n3"])
+    assert (code, out) == (2, "")
+    assert err == "internal error: Eigenvalues did not converge\n"
+
+
+# every command but verify, in a fresh process: none may load numpy
+_NUMPY_FREE_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from permcode import cli
+for argv, code in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "n3"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_verify_loads_numpy():
+    argvs = [
+        (["pmax", "--method", "exact", "--n", "40", "--d", "15"], 0),  # forks its shares
+        (["pmax", "--method", "plancherel", "--n", "40", "--d", "15", "--samples", "50"], 0),
+        (["pmax", "--method", "schur-weyl", "--n", "40", "--d", "15", "--samples", "50"], 0),
+        (["sweep", "--r", "0.5", "--n-list", "8,70", "--samples", "20"], 0),
+        (["classical", "--n", "10", "--d", "3"], 0),
+        (["bounds", "--kerov-n", "10", "--kerov-row-n", "10", "--kerov-row-d", "4", "--erdos-n", "50"], 0),
+        (["sample", "--measure", "schur-weyl", "--n", "10", "--d", "3", "--count", "20"], 0),
+        (["pmax", "--n", "0", "--d", "1"], 1),  # the error handler loads nothing either
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = _NUMPY_FREE_RUN.format(src=src, argvs=argvs)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_suites_come_from_one_table():
