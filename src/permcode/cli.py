@@ -301,7 +301,7 @@ def _verify_symmetrize_checks(seed: int) -> list[tuple[str, float, float]]:
         povm_seed = symmetrize_povm(raw, n, d)
         averaged = symmetrize_elements(raw, n, d)
         for p, idx in indices.items():
-            max_cov = max(max_cov, float(np.abs(averaged[p] - povm_seed[np.ix_(idx, idx)]).max()))
+            max_cov = max(max_cov, float(np.abs(averaged[p] - povm_seed[idx[:, None], idx]).max()))
         raw_success = sum(np.real(psi[idx].conj() @ raw[p] @ psi[idx]) for p, idx in indices.items()) / len(indices)
         max_success_shift = max(max_success_shift, abs(success_probability(psi, povm_seed, n, d) - raw_success))
     return [
@@ -443,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.seed < 0:  # numpy's generators take no negative seed
+            parser.error(f"argument --seed: expected a non-negative integer, got {args.seed}")
         args.fn(args)
         return EXIT_OK
     except SystemExit as exc:

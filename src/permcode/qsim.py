@@ -6,13 +6,13 @@ classical-channel Monte Carlo.
 
 A state is a plain vector of d^N amplitudes, and a permutation operator
 Gamma(sigma) the index array idx that permutes the d^N basis states:
-Gamma x = x[idx] and Gamma M Gamma^dagger = M[idx, idx].  The dense matrix,
-np.eye(d^N)[idx], is never built here.  A covariant POVM is its seed operator
-E, a d^N x d^N array, whose element for sigma is E[idx, idx].  One orbit
-core, ``_orbit``, gives both sides of the optimum from a generic state psi:
-the rank of its orbit bounds every signal (``orbit_rank``), and the tight
-frame S^(-1/2) psi reaches that bound (``build_optimal_signal``).  It reads
-no character, hook or content.
+Gamma x = x[idx] and Gamma M Gamma^dagger = M[idx[:, None], idx].  The dense
+matrix, np.eye(d^N)[idx], is never built here.  A covariant POVM is its seed
+operator E, a d^N x d^N array, whose element for sigma is E[idx[:, None], idx].
+One orbit core, ``_orbit``, gives both sides of the optimum from a generic
+state psi: the rank of its orbit bounds every signal (``orbit_rank``), and the
+tight frame S^(-1/2) psi reaches that bound (``build_optimal_signal``).  It
+reads no character, hook or content.
 
 numpy is imported on first use: ``np`` is a stand-in that loads it on its
 first attribute read, so importing this module, or ``permcode.cli``, loads
@@ -177,25 +177,20 @@ def covariant_slack(seed: np.ndarray, n: int, d: int) -> np.ndarray:
     covariant POVM of the d^n x d^n ``seed`` leaves to a completion.  Its
     elements sum to at most I exactly when the slack is PSD."""
     _check_shape("seed", seed, (d**n, d**n), n, d)
-    return np.eye(d**n) - sum(seed[np.ix_(idx, idx)] for idx in _gamma_indices(n, d))
-
-
-def _averaged(
-    raw_elements: dict[Perm, np.ndarray], n: int, d: int, outcomes: list[Perm]
-) -> dict[Perm, np.ndarray]:
-    """E'_t = (1/n!) sum over s of Gamma(s)^dagger E_{s o t} Gamma(s) for each
-    t of ``outcomes``."""
-    inverse = [(s, build_gamma(invert(s), n, d)) for s in all_perms(n)]  # Gamma(s)^dagger = Gamma(s^-1)
-    nfact = math.factorial(n)
-    return {t: sum(raw_elements[compose(s, t)][np.ix_(inv, inv)] for s, inv in inverse) / nfact for t in outcomes}
+    return np.eye(d**n) - sum(seed[idx[:, None], idx] for idx in _gamma_indices(n, d))
 
 
 def symmetrize_elements(
     raw_elements: dict[Perm, np.ndarray], n: int, d: int
 ) -> dict[Perm, np.ndarray]:
-    """Group-averaged measurement operators, one per outcome:
-    E'_t = (1/n!) sum over s of Gamma(s)^dagger E_{s o t} Gamma(s)."""
-    return _averaged(raw_elements, n, d, all_perms(n))
+    """The group average of a POVM indexed by permutations, one element per
+    outcome t: E'_t = (1/n!) sum over s of Gamma(s)^dagger E_{s o t} Gamma(s).
+    It is the only group average here; ``symmetrize_povm`` checks its input
+    and keeps the identity's element."""
+    perms = all_perms(n)
+    inverse = [(s, build_gamma(invert(s), n, d)) for s in perms]  # Gamma(s)^dagger = Gamma(s^-1)
+    nfact = math.factorial(n)
+    return {t: sum(raw_elements[compose(s, t)][inv[:, None], inv] for s, inv in inverse) / nfact for t in perms}
 
 
 def random_povm(rng: np.random.Generator, n: int, d: int) -> dict[Perm, np.ndarray]:
@@ -212,11 +207,12 @@ def random_povm(rng: np.random.Generator, n: int, d: int) -> dict[Perm, np.ndarr
 
 def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> np.ndarray:
     """Group-average a POVM indexed by permutations into the seed of a
-    covariant one, the identity's element of ``symmetrize_elements``: each
-    averaged element is E'_t = Gamma(t) seed Gamma(t)^dagger, and they give
-    the same success probability on the covariant ensemble.  The raw elements
-    must be PSD and sum to I, every eigenvalue of their sum minus I within
-    ``COMPLETENESS_TOL``.
+    covariant one: after its checks, the identity's element of
+    ``symmetrize_elements``.  Each averaged element is
+    E'_t = Gamma(t) seed Gamma(t)^dagger, with the same success probability
+    on the covariant ensemble.  The raw elements must be PSD and sum to I,
+    every eigenvalue of their sum minus I within ``COMPLETENESS_TOL``; a
+    ``covariant_slack`` of the seed that is not PSD is an internal error.
     """
     if set(raw_elements) != set(all_perms(n)):
         raise ValueError("raw POVM must have exactly one element per permutation")
@@ -226,8 +222,7 @@ def symmetrize_povm(raw_elements: dict[Perm, np.ndarray], n: int, d: int) -> np.
     for p, e in raw_elements.items():
         if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -1e-9:
             raise ValueError(f"raw POVM element for {p} is not PSD")
-    identity = tuple(range(n))
-    seed = _averaged(raw_elements, n, d, [identity])[identity]
+    seed = symmetrize_elements(raw_elements, n, d)[tuple(range(n))]
     slack = covariant_slack(seed, n, d)
     evals = np.linalg.eigvalsh((slack + slack.conj().T) / 2)
     if evals.min() < -COMPLETENESS_TOL:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -593,6 +594,32 @@ def test_verify_single_suite(capsys):
     assert len(payload["rows"]) == 2
 
 
+def test_verify_refuses_a_negative_seed_before_any_suite(capsys, monkeypatch):
+    def no_suite(suite, seed):
+        raise AssertionError(f"suite {suite} ran at seed {seed}")
+
+    monkeypatch.setattr(cli, "verify_checks", no_suite)
+    for argv in (["verify", "--seed", "-1"], ["verify", "--suite", "n3", "--seed", "-1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "argument --seed: expected a non-negative integer, got -1" in err
+    # the pure-Python commands seed random.Random, which takes any integer
+    code, out, _ = run_cli(capsys, ["sample", "--measure", "plancherel", "--n", "5", "--count", "3", "--seed", "-1"])
+    assert code == 0 and out
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["pmax", "--n", "3", "--d", "2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "permcode.cli", *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -709,6 +736,7 @@ _COMMANDS = st.one_of(
     _options(
         kerov_n=st.integers(-1, 40), kerov_row_n=_N, kerov_row_d=_D, erdos_n=_N, c=st.floats(), cap=_CAP,
     ).map(lambda opts: ["bounds", *opts]),
+    _options(suite=st.sampled_from(cli.VERIFY_SUITES), seed=_SEED).map(lambda opts: ["verify", *opts]),
 )
 
 

@@ -370,6 +370,15 @@ def test_each_core_splits_from_split_from_n_on(monkeypatch, core):
             core(SPLIT_FROM_N, d)
 
 
+def test_usable_cpus_without_affinity_call(monkeypatch):
+    # as on macOS: no os.sched_getaffinity, so the CPU count, or 1 where it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert coding._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert coding._usable_cpus() == 1
+
+
 def test_one_share_runs_in_process(monkeypatch):
     expected = quantum_pmax_exact(CodingInstance(40, 15))
     monkeypatch.setattr(coding, "_usable_cpus", lambda: 1)
