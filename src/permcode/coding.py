@@ -100,11 +100,13 @@ def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int, dict[str, int
     """Visit every diagram on the gap-carrying side of m = D, pruning by dominance.
 
     With C = prod over cells of (d + content), m = C/H and D = n!/H share the
-    hook product H, so m > D exactly when C > n!.  Below the critical ratio
-    the search keeps {C >= n!} among diagrams with at most d rows.  Above it
-    the search runs over the conjugates of all diagrams (contents negated)
-    and keeps {C <= n!}.  A conjugate whose first row is longer than d has
-    C = 0 (m = 0), which passes, and adds (n! - 0)/H * n!/H = D^2 to the gap.
+    hook product H, so m > D exactly when C > n!.  A diagram with more than
+    d rows has m = 0: its row d starts with the factor d - d = 0, so C = 0.
+    Below the critical ratio the search keeps {C >= n!}, which no such
+    diagram enters.  Above it the search runs over the conjugates of all
+    diagrams (contents negated) and keeps {C <= n!}.  A conjugate whose first
+    row is longer than d has C = 0, which passes, and adds
+    (n! - 0)/H * n!/H = D^2 to the gap.  So no bound on the rows is needed.
     Moving a box up in dominance order strictly raises a nonzero C and never
     shortens the first row, and conjugation reverses dominance order, so in
     both cases the kept set is closed upward in the dominance order of the
@@ -113,13 +115,14 @@ def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int, dict[str, int
     Rows are chosen from the top, each no longer than the one above it, and
     longest first.  The dominance-largest completion of a prefix fills every
     further row to the length of its last row.  When that completion fails
-    the test, or needs more rows than allowed, so does every completion of
-    the prefix and every shorter choice of its last row.  Below a row of
-    length 1 every row is 1 and none is tested, so such a row finishes its
-    leaf in one step: r rows of 1 added as rows k, k+1, ... to a prefix with
-    hook product H and shifted lengths s_i = (length of row i) - i give
-    H * r! * prod_i (s_i + k + r - 1) / prod_i (s_i + k - 1).  The row and
-    completion products are kept in two whole tables that last for one search.
+    the test, so does every completion of the prefix and every shorter choice
+    of its last row.  Below a row of length 1 every row is 1 and none is
+    tested, so such a row finishes its leaf in one step: r rows of 1 added as
+    rows k, k+1, ... to a prefix with hook product H and shifted lengths
+    s_i = (length of row i) - i give
+    H * r! * prod_i (s_i + k + r - 1) / prod_i (s_i + k - 1).  The completion
+    products, a single row being the completion of one row, are kept in one
+    whole table that lasts for one search.
 
     The first rows that pass the test are dealt round-robin into the shares
     that ``_share_count`` gives at N = n.  Share 0 runs in this process and
@@ -133,29 +136,23 @@ def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int, dict[str, int
     nfact = math.factorial(n)
     sign = -1 if above else 1
     bound = sign * nfact  # a completion passes the test when sign * C >= bound
-    max_rows = n if above else d
     factorials = [1]
     for i in range(1, n + 1):
         factorials.append(factorials[-1] * i)
-    # Both tables are filled on demand, and neither is read under a zero
-    # prefix, where every product is 0 and every completion passes.
-    @lru_cache(maxsize=None)
-    def row(i: int, length: int) -> int:
-        # the product of the factors of row i of the searched diagram, prod
-        # over j < length of (d + sign * (j - i)): `length` consecutive
-        # integers from `base` up
-        base = d + i - length + 1 if above else d - i
-        return _content_product((length,), base)
-
+    # The table is filled on demand, and not read under a zero prefix, where
+    # every product is 0 and every completion passes.
     @lru_cache(maxsize=None)
     def tail(k: int, remaining: int, length: int) -> int:
         # the product of the rows k, k+1, ... of the dominance-largest
-        # completion, 0 if it needs more than max_rows rows
+        # completion; tail(k, length, length) is row k alone
+        if remaining == length:
+            # prod over j < length of (d + sign * (j - k)): `length`
+            # consecutive integers from `base` up
+            base = d + k - length + 1 if above else d - k
+            return _content_product((length,), base)
         full, rest = divmod(remaining, length)
-        if k + full + (rest > 0) > max_rows:
-            return 0
-        product = math.prod([row(i, length) for i in range(k, k + full)])
-        return product * row(k + full, rest) if rest else product
+        product = math.prod([tail(i, length, length) for i in range(k, k + full)])
+        return product * tail(k + full, rest, rest) if rest else product
 
     firsts = []  # the first rows whose completion passes, longest first
     for length in range(n, 0, -1):
@@ -197,7 +194,7 @@ def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int, dict[str, int
                     product = prefix and prefix * tail(k, remaining, 1)
                 else:
                     h = grown * factorials[length] // math.prod(map((k - length).__add__, shifted))
-                    product = prefix and prefix * row(k, length)
+                    product = prefix and prefix * tail(k, length, length)
                     if length < remaining:
                         # the longest next row completes to the completion
                         # that kept this prefix, so it needs no test, and
@@ -221,8 +218,7 @@ def _gap_side(n: int, d: int, above: bool) -> tuple[int, int, int, dict[str, int
         gap, strict, ties, kept, pruned = map(sum, zip(*parts))
     finally:
         # the recursive closures form a reference cycle, which would keep the
-        # tables until the next garbage collection
-        row.cache_clear()
+        # table until the next garbage collection
         tail.cache_clear()
     pruned += len(firsts) < n
     counts = {"visited": kept + pruned, "kept": kept, "pruned": pruned, "leaves": strict + ties}

@@ -288,6 +288,34 @@ def test_search_counts():
         assert counts["leaves"] < counts["kept"]
 
 
+def test_search_beyond_the_cap():
+    # far below the critical ratio the dominance-largest completions overshoot
+    # d rows by hundreds, and at (1000, 995) nearly every diagram has m = 0;
+    # the values were frozen from the search with an explicit bound of d rows
+    for (n, d), dim_w, sides, work in (
+        ((70, 8), 2107713371757242199, (90, 191873, 1, 3896004), (243, 227, 16, 91)),
+        ((120, 15), 1018063192113309348, (2138, 243330201, 1, 1601017220), (7136, 6931, 205, 2139)),
+        ((200, 20), 623726082683930060, (10728, 340131769595, 1, 3632867249064), (40889, 40144, 745, 10729)),
+        (
+            (500, 20),
+            1573255124051528333,
+            (6530, 215338020409115291, 1, 2299949694553914873205),
+            (25220, 24857, 363, 6531),
+        ),
+        (
+            (1000, 10),
+            242035315645374265,
+            (135, 968356321790035, 1, 24061467864032621505335827937820),
+            (396, 385, 11, 136),
+        ),
+        ((1000, 995), 1436374408064680821, (24061467864032622473692149727972, 6, 1, 12), (46, 45, 1, 19)),
+    ):
+        rep = quantum_pmax_exact(CodingInstance(n, d), cap=10**6)
+        assert rep.dim_w % (2**61 - 1) == dim_w, (n, d)
+        assert tuple(rep.min_side_counts[k] for k in ("dim_wins", "mult_wins", "ties", "zero_mult")) == sides, (n, d)
+        assert tuple(rep.search_counts[k] for k in ("visited", "kept", "pruned", "leaves")) == work, (n, d)
+
+
 def test_totals_cross_the_pipe_as_marshal_bytes():
     big = 10**4999 + 12_345  # 5000 digits: str() refuses it
     with pytest.raises(ValueError):

@@ -177,6 +177,16 @@ def test_multiplicity_examples():
         multiplicity((2, 1), 0)
 
 
+def test_content_product_is_zero_exactly_beyond_d_rows():
+    # the exact search decides m = 0 by this alone: row d starts with the
+    # factor d - d = 0, and no row above it has a factor <= 0.  By
+    # conjugation a first row longer than d gives the zero above the ratio.
+    for n in range(1, 13):
+        for diag in enumerate_partitions(n):
+            for d in range(1, n + 2):
+                assert (young._content_product(diag, d) == 0) == (len(diag) > d), (diag, d)
+
+
 def test_multiplicity_against_ssyt_backtracking():
     for n in range(1, 7):
         for d in range(1, 5):
