@@ -1,7 +1,9 @@
 """Empirical checks of the asymptotic machinery: Plancherel and Schur-Weyl
 tail bounds, the partition-count growth bound, and Monte Carlo estimation of
-the optimal success probability beyond the exact enumeration cap, from the
-one stream of random diagrams in ``draw_shapes``.
+the optimal success probability beyond the exact enumeration cap.  Every
+random diagram comes from the one seeded stream of words in ``_draw_words``:
+the estimators take their RSK shapes in ``_block_logs``, and only the
+``sample`` command reads them through ``draw_shapes``.
 """
 
 from __future__ import annotations

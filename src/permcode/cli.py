@@ -80,19 +80,19 @@ def frac_str(x: Fraction) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}" if x.denominator != 1 else _int_str(x.numerator)
 
 
-def dec_str(x) -> str:
-    """x to 12 significant digits.  An exact ``Fraction`` below the normal
-    float range is divided in decimal, since a float would lose its digits."""
+def dec_str(x, log_scale: float = 0.0) -> str:
+    """x * e^log_scale to 12 significant digits.  An exact ``Fraction`` below
+    the normal float range, and any x whose scale e^log_scale is not a normal
+    float, are formed in decimal, since a float would lose their digits, and
+    print as ``<mantissa>e<exponent>``."""
     if isinstance(x, Fraction) and 0 < x < sys.float_info.min:
-        return _wide_str(_WIDE.divide(Decimal(x.numerator), Decimal(x.denominator)))
-    return f"{float(x):.12g}"
-
-
-def _wide_str(value: Decimal) -> str:
-    """A value outside the float range as ``<mantissa>e<exponent>``, with the
-    12 digits ``dec_str`` prints."""
-    mantissa, exponent = f"{value:.11e}".split("e")
-    return f"{dec_str(float(mantissa))}e{int(exponent):+03d}"
+        wide = _WIDE.divide(Decimal(x.numerator), Decimal(x.denominator))
+    elif x == 0 or sys.float_info.min <= times_exp(1.0, log_scale) < math.inf:
+        return f"{times_exp(float(x), log_scale):.12g}"
+    else:
+        wide = _WIDE.multiply(Decimal(x), _WIDE.exp(Decimal(log_scale)))
+    mantissa, exponent = f"{wide:.11e}".split("e")
+    return f"{float(mantissa):.12g}e{int(exponent):+03d}"
 
 
 def _meta(args: argparse.Namespace, extra: dict | None = None) -> dict:
@@ -133,14 +133,6 @@ def _emit(args: argparse.Namespace, meta: dict, rows: list[dict], text_lines: li
             raise ValueError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(payload)
-
-
-def _scaled_str(x: float, log_scale: float) -> str:
-    """x * e^log_scale as ``dec_str`` prints it when the scale e^log_scale is a
-    normal float, else as ``<mantissa>e<exponent>`` to the same 12 digits."""
-    if x == 0.0 or sys.float_info.min <= times_exp(1.0, log_scale) < math.inf:
-        return dec_str(times_exp(x, log_scale))
-    return _wide_str(_WIDE.multiply(Decimal(x), _WIDE.exp(Decimal(log_scale))))
 
 
 def pmax(
@@ -193,8 +185,8 @@ def _quantum_columns(instance: CodingInstance, result: CodingReport | McEstimate
     """The columns that pmax and sweep share, for an exact report or an estimate."""
     if isinstance(result, McEstimate):
         quantum = {
-            "p_quantum": _scaled_str(result.ratio, result.log_scale), "p_quantum_exact": "",
-            "stderr": _scaled_str(result.ratio_stderr, result.log_scale),
+            "p_quantum": dec_str(result.ratio, result.log_scale), "p_quantum_exact": "",
+            "stderr": dec_str(result.ratio_stderr, result.log_scale),
         }
     else:
         quantum = {"p_quantum": dec_str(result.p_quantum), "p_quantum_exact": frac_str(result.p_quantum), "stderr": ""}
@@ -215,7 +207,7 @@ def cmd_pmax(args: argparse.Namespace) -> None:
         shift = result.log_scale - result.log_bound  # exactly 0.0 unless the scale moved
         lines = [
             f"p_quantum = {row['p_quantum']} +/- {row['stderr']} ({result.method})",
-            f"sampled_mean = {_scaled_str(result.ratio, shift)} +/- {_scaled_str(result.ratio_stderr, shift)}",
+            f"sampled_mean = {dec_str(result.ratio, shift)} +/- {dec_str(result.ratio_stderr, shift)}",
             f"informative_draws = {result.informative} of {args.samples} ({result.bar})",
         ]
     else:

@@ -170,22 +170,17 @@ def dim_mult_ratio(rows: Sequence[int], d: int) -> Fraction:
     return Fraction(math.factorial(n), _content_product(rows, d))
 
 
-#: ln k at index k, from k = 0 (-inf) up to the largest hook a diagram has had
-_LOG_INTS = [float("-inf")]
-
-
 def log_dim_and_mult(rows: Sequence[int], d: int) -> tuple[float, float]:
     """(ln D, ln m) of the diagram at d in one pass over the cells, ln m =
     -inf when the diagram has more than d rows.  ln D is lgamma(n + 1) minus
     each ln h, and ln m sums ln(d + c) - ln h from 0.0, cells in row-major
-    order, with h the hook and c = j - i the content of cell (i, j).  ln h is
-    read from ``_LOG_INTS`` and ln(d + c) from a list over the diagram's
-    contents, so no table is sized by d."""
+    order, with h the hook and c = j - i the content of cell (i, j).  ln h and
+    ln(d + c) come from lists over the diagram's own hooks and contents, built
+    per call, so no table outlives a call or is sized by d."""
     n, height, width = sum(rows), len(rows), rows[0] if rows else 0
-    logs = _LOG_INTS
-    # the hook of cell (i, j) is (rows[i] - i - 1) + (conj[j] - j), at most
-    # width + height - 1 <= n at (0, 0)
-    logs.extend(map(math.log, range(len(logs), width + height)))
+    # ln h at index h: the hook of cell (i, j) is (rows[i] - i - 1) + (conj[j] - j),
+    # at most width + height - 1 <= n at (0, 0)
+    logs = [0.0, *map(math.log, range(1, width + height))]
     col_terms = [c - j for j, c in enumerate(conjugate(rows))]
     if height > d:  # m = 0: ln m is -inf, and zeros stand in for the logs of contents <= 0
         log_contents = [0.0] * (height + width - 1)

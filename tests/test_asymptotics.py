@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from permcode import asymptotics, coding, young
+from permcode import asymptotics, coding
 from permcode.asymptotics import (
     DRAW_BLOCK,
     HARDY_RAMANUJAN_C,
@@ -256,11 +256,9 @@ def _log_mult_per_cell(rows, d):
     return s
 
 
-def test_log_dim_mult_is_the_two_log_sums_bit_for_bit(monkeypatch):
+def test_log_dim_mult_is_the_two_log_sums_bit_for_bit():
     # the one pass in young gives the per-cell log sums exactly, and the
-    # memoized draw pass (ln D, ln D) where m = D; the table of ln k never
-    # grows past k = n
-    monkeypatch.setattr(young, "_LOG_INTS", [float("-inf")])
+    # memoized draw pass (ln D, ln D) where m = D
     for n in range(1, 13):
         for rows in enumerate_partitions(n):
             for d in sorted({1, 2, 3, n - 1, n, n + 5, 10**19} - {0}):
@@ -269,7 +267,6 @@ def test_log_dim_mult_is_the_two_log_sums_bit_for_bit(monkeypatch):
                 tie = multiplicity(rows, d) == dim_irrep(rows)
                 expected = (log_dim, log_dim if tie else log_mult)
                 assert _log_dim_mult.__wrapped__(rows, d) == expected, (rows, d)
-                assert len(young._LOG_INTS) <= n + 1
 
 
 def _stdlib_words(n, d, count, seed, share):

@@ -396,6 +396,12 @@ def test_exact_decimals_below_the_float_range(capsys):
     assert dec_str(Fraction(1, 10**400)) == "1e-400"
     assert dec_str(Fraction(3, 10**320)) == "3e-320"
     assert dec_str(Fraction(1, 2)) == "0.5" and dec_str(Fraction(0)) == "0"
+    # x * e^log_scale, in decimal where the scale is not a normal float
+    assert dec_str(0.0, 1e4) == "0"
+    assert dec_str(0.5, -800.0) == "1.83393729209e-348"
+    assert dec_str(2.0, 800.0) == "5.45274914423e+347"
+    assert dec_str(3.0, -745.0) == "8.46705219142e-324"  # e^-745 is subnormal
+    assert dec_str(0.25, math.log(4)) == "1"
     code, out, _ = run_cli(capsys, ["classical", "--n", "200", "--d", "2"])  # 1/(100!)^2
     assert code == 0 and out.endswith(" (1.14813429756e-316)\n")
     code, out, _ = run_cli(capsys, ["classical", "--n", "300", "--d", "2"])  # 1/(150!)^2
@@ -545,35 +551,19 @@ def test_failed_eigensolver_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: Eigenvalues did not converge\n"
 
 
-# every command but verify, in a fresh process: none may load numpy
-_NUMPY_FREE_RUN = """
-import contextlib, io, sys
-sys.path.insert(0, {src!r})
-from permcode import cli
-for argv, code in {argvs!r}:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) == code, argv
-    assert "numpy" not in sys.modules, argv
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "--suite", "n3"]) == 0
-assert "numpy" in sys.modules
-"""
-
-
 def test_only_verify_loads_numpy():
-    argvs = [
-        (["pmax", "--method", "exact", "--n", "40", "--d", "15"], 0),  # forks its shares
-        (["pmax", "--method", "plancherel", "--n", "40", "--d", "15", "--samples", "50"], 0),
-        (["pmax", "--method", "schur-weyl", "--n", "40", "--d", "15", "--samples", "50"], 0),
-        (["sweep", "--r", "0.5", "--n-list", "8,70", "--samples", "20"], 0),
-        (["classical", "--n", "10", "--d", "3"], 0),
-        (["bounds", "--kerov-n", "10", "--kerov-row-n", "10", "--kerov-row-d", "4", "--erdos-n", "50"], 0),
-        (["sample", "--measure", "schur-weyl", "--n", "10", "--d", "3", "--count", "20"], 0),
-        (["pmax", "--n", "0", "--d", "1"], 1),  # the error handler loads nothing either
-    ]
+    # every command but verify, in a fresh process: none may load numpy
+    script = Path(__file__).with_name("cli_without_numpy.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     src = str(Path(cli.__file__).resolve().parents[1])
-    script = _NUMPY_FREE_RUN.format(src=src, argvs=argvs)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    loads = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r}); from permcode import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'n3']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", loads], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -138,6 +138,15 @@ def test_pmax_certainty_when_colors_sufficient():
             assert quantum_pmax_exact(CodingInstance(n, d)).p_quantum == 1
 
 
+def test_pmax_nondecreasing_in_d_and_one_exactly_from_d_equals_n():
+    # a bisection over d for the fewest colors rests on both; at d = n - 1
+    # the column (1^n) has m = 0, so P_max < 1 there
+    for n in range(1, 26):
+        values = [quantum_pmax_exact(CodingInstance(n, d)).p_quantum for d in range(1, n + 2)]
+        assert all(a <= b for a, b in zip(values, values[1:])), n
+        assert [p == 1 for p in values] == [d >= n for d in range(1, n + 2)], n
+
+
 def test_pmax_three_way_identity():
     # P = E_plancherel[min(1, m/D)] = (d^n/n!) E_schur_weyl[min(1, D/m)]
     for n in range(1, 11):
