@@ -20,7 +20,6 @@ from .coding import _over_shares, _share_count
 from .young import (
     DEFAULT_ENUMERATION_CAP,
     check_enumerable,
-    dim_mult_ratio,
     enumerate_partitions,
     log_dim_and_mult,
     log_dim_irrep,
@@ -101,18 +100,10 @@ def times_exp(x: float, log_scale: float) -> float:
 @lru_cache(maxsize=DRAW_BLOCK)
 def _log_dim_mult(rows: tuple[int, ...], d: int) -> tuple[float, float]:
     """(ln D, ln m) of a Monte Carlo draw's diagram at d, from
-    ``log_dim_and_mult``, ln m = -inf at m = 0.
-
-    The two float sums differ by roundoff at m = D, so within a bound on it,
-    8 (n + 1) ulps of 1 + ln n!, m = D is decided by the exact ratio
-    ``dim_mult_ratio``, and then ln m is ln D.  Draws repeat diagrams at
-    small n, so the pairs of up to one block's draws are cached."""
-    log_dim, log_mult = log_dim_and_mult(rows, d)
-    n = sum(rows)
-    roundoff = 8 * (n + 1) * sys.float_info.epsilon * (1.0 + math.lgamma(n + 1))
-    if abs(log_mult - log_dim) <= roundoff and dim_mult_ratio(rows, d) == 1:
-        return log_dim, log_dim
-    return log_dim, log_mult
+    ``log_dim_and_mult``: ln m = -inf at m = 0, and ln D at m = D.  Draws
+    repeat diagrams at small n, so the pairs of up to one block's draws are
+    cached."""
+    return log_dim_and_mult(rows, d)
 
 
 def _tally(slacks: Iterable[float | None], violated: Callable[[float], bool]) -> BoundCheckReport:

@@ -112,18 +112,14 @@ def _emit(args: argparse.Namespace, meta: dict, rows: list[dict], text_lines: li
     if args.format == "json":
         json.dump({"meta": meta, "rows": rows}, out, indent=2)
         out.write("\n")
-    elif args.format == "csv":
-        for k, v in meta.items():
-            out.write(f"# {k}={v}\n")
-        if rows:
+    else:
+        out.writelines(f"# {k}={v}\n" for k, v in meta.items())
+        if args.format == "table":
+            out.writelines(line + "\n" for line in text_lines)
+        elif rows:
             writer = csv.DictWriter(out, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
             writer.writeheader()
             writer.writerows(rows)
-    else:
-        for k, v in meta.items():
-            out.write(f"# {k}={v}\n")
-        for line in text_lines:
-            out.write(line + "\n")
     payload = out.getvalue()
     if args.output:
         try:

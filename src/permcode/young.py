@@ -12,6 +12,7 @@ floats.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -176,7 +177,11 @@ def log_dim_and_mult(rows: Sequence[int], d: int) -> tuple[float, float]:
     each ln h, and ln m sums ln(d + c) - ln h from 0.0, cells in row-major
     order, with h the hook and c = j - i the content of cell (i, j).  ln h and
     ln(d + c) come from lists over the diagram's own hooks and contents, built
-    per call, so no table outlives a call or is sized by d."""
+    per call, so no table outlives a call or is sized by d.
+
+    ln m is ln D exactly where m = D.  The two sums differ there by roundoff,
+    so within a bound on it, 8 (n + 1) ulps of 1 + ln n!, m = D is decided as
+    the exact search decides it: m/D = C/n!, so m = D where C = n!."""
     n, height, width = sum(rows), len(rows), rows[0] if rows else 0
     # ln h at index h: the hook of cell (i, j) is (rows[i] - i - 1) + (conj[j] - j),
     # at most width + height - 1 <= n at (0, 0)
@@ -194,7 +199,12 @@ def log_dim_and_mult(rows: Sequence[int], d: int) -> tuple[float, float]:
             log_hook = logs[row_term + col_term]
             log_dim -= log_hook
             log_mult += log_content - log_hook
-    return log_dim, float("-inf") if height > d else log_mult
+    if height > d:
+        return log_dim, float("-inf")
+    roundoff = 8 * (n + 1) * sys.float_info.epsilon * (1.0 + math.lgamma(n + 1))
+    if abs(log_mult - log_dim) <= roundoff and _content_product(rows, d) == math.factorial(n):
+        return log_dim, log_dim
+    return log_dim, log_mult
 
 
 def log_dim_irrep(rows: Sequence[int]) -> float:

@@ -222,18 +222,6 @@ def test_log_dim_mult_decides_m_equals_d_exactly():
                 assert (log_mult > log_dim) == (mult > dim), (rows, d)
 
 
-def test_log_dim_mult_ties_only_where_the_exact_ratio_is_one(monkeypatch):
-    # two logs within the roundoff window: the exact ratio, not the window, decides m = D
-    x, delta = 0.5, 1e-15
-    monkeypatch.setattr(asymptotics, "log_dim_and_mult", lambda rows, d: (x, x + delta))
-    _log_dim_mult.cache_clear()
-    try:
-        assert _log_dim_mult((2, 1), 3) == (x, x + delta)  # D = 2, m = 8
-        assert _log_dim_mult((1,), 1) == (x, x)  # D = m = 1
-    finally:
-        _log_dim_mult.cache_clear()
-
-
 def _log_dim_per_cell(rows):
     """ln D summed cell by cell: lgamma(n + 1) minus each ln h, row-major."""
     conj = conjugate(rows)
@@ -257,15 +245,15 @@ def _log_mult_per_cell(rows, d):
 
 
 def test_log_dim_mult_is_the_two_log_sums_bit_for_bit():
-    # the one pass in young gives the per-cell log sums exactly, and the
-    # memoized draw pass (ln D, ln D) where m = D
+    # the one pass in young, and the memoized draw pass over it, give the
+    # per-cell log sums exactly, except ln m = ln D where m = D
     for n in range(1, 13):
         for rows in enumerate_partitions(n):
             for d in sorted({1, 2, 3, n - 1, n, n + 5, 10**19} - {0}):
                 log_dim, log_mult = _log_dim_per_cell(rows), _log_mult_per_cell(rows, d)
-                assert (log_dim_irrep(rows), log_multiplicity(rows, d)) == (log_dim, log_mult), (rows, d)
                 tie = multiplicity(rows, d) == dim_irrep(rows)
                 expected = (log_dim, log_dim if tie else log_mult)
+                assert (log_dim_irrep(rows), log_multiplicity(rows, d)) == expected, (rows, d)
                 assert _log_dim_mult.__wrapped__(rows, d) == expected, (rows, d)
 
 

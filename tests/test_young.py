@@ -15,6 +15,7 @@ from permcode.young import (
     dim_irrep,
     dim_mult_ratio,
     enumerate_partitions,
+    log_dim_and_mult,
     log_dim_irrep,
     log_multiplicity,
     multiplicity,
@@ -238,6 +239,17 @@ def test_log_domain_matches_exact():
     # the empty diagram, and more rows than d, d <= 0 included
     assert log_dim_irrep(()) == 0.0 and log_multiplicity((), 3) == 0.0
     assert log_multiplicity((2, 1), 1) == log_multiplicity((2, 1), -1) == float("-inf")
+
+
+def test_log_dim_and_mult_ties_only_where_the_content_product_is_n_factorial(monkeypatch):
+    # (2, 1) at d = 2 is a tie, m = D = 2, whose two sums differ by 3.3e-16:
+    # inside the roundoff window the integer test C = n!, not the window, decides
+    log_dim = math.lgamma(4) - math.log(3)
+    raw_log_mult = (math.log(2) - math.log(3)) + math.log(3)
+    assert 0.0 < abs(raw_log_mult - log_dim) < 1e-15
+    assert log_dim_and_mult((2, 1), 2) == (log_dim, log_dim)
+    monkeypatch.setattr(young, "_content_product", lambda rows, d: math.factorial(sum(rows)) + 1)
+    assert log_dim_and_mult((2, 1), 2) == (log_dim, raw_log_mult)
 
 
 # ------------------------------------------------------------------ RSK
