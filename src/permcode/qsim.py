@@ -11,8 +11,10 @@ matrix, np.eye(d^N)[idx], is never built here.  A covariant POVM is its seed
 operator E, a d^N x d^N array, whose element for sigma is E[idx[:, None], idx].
 One orbit core, ``_orbit``, gives both sides of the optimum from a generic
 state psi: the rank of its orbit bounds every signal (``orbit_rank``), and the
-tight frame S^(-1/2) psi reaches that bound (``build_optimal_signal``).  It
-reads no character, hook or content.
+tight frame S^(-1/2) psi reaches that bound (``build_optimal_signal``).  Where
+n! <= d^n it splits the orbit's Gram matrix into n blocks by the cyclic
+subgroup Z_n of S_n, whose characters omega^(jt) are the only ones it reads;
+it reads no character of S_n, hook or content.
 
 numpy is imported on first use: ``np`` is a stand-in that loads it on its
 first attribute read, so importing this module, or ``permcode.cli``, loads
@@ -244,6 +246,16 @@ def success_probability(psi: np.ndarray, seed: np.ndarray, n: int, d: int) -> fl
     return float(total.real)
 
 
+def _coset_order(n: int) -> np.ndarray:
+    """The positions in ``all_perms(n)`` of c^t o s_r, t-major: c the n-cycle
+    i -> i + 1 mod n, and s_r the (n-1)! permutations that fix 0, one in each
+    right coset of <c>.  ``all_perms`` lists those first, identity first."""
+    perms = all_perms(n)
+    position = {p: i for i, p in enumerate(perms)}
+    reps = perms[: math.factorial(n - 1)]
+    return np.array([position[tuple((x + t) % n for x in s)] for t in range(n) for s in reps])
+
+
 def _orbit(
     psi: np.ndarray, n: int, d: int, root: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -254,34 +266,52 @@ def _orbit(
 
     With A = psi[indices], whose row sigma is Gamma(sigma) psi, S = A^T conj(A)
     (d^n x d^n) has the nonzero spectrum of the Gram matrix G = conj(A) A^T
-    (n! x n!), and the smaller of the two, k x k, is diagonalised.  The
-    support is the eigenvalues above max|lambda| * k * eps, numpy's
-    ``matrix_rank`` default: a fixed share of the largest drops true
-    eigenvalues at rare psi, and a fixed floor keeps roundoff at n = 8.  On
-    the Gram side S^(-1/2) psi = A^T G^(-1/2) e_0, because row 0 of
-    ``all_perms`` is the identity.  The diagonalised matrix must be Hermitian
-    and PSD.  Without ``root`` no eigenvectors are computed: LAPACK's
+    (n! x n!).  Where d^n < n!, S is diagonalised.  Elsewhere G is, in n
+    blocks: G(h sigma, h tau) = G(sigma, tau), since Gamma is a unitary
+    representation, so in the order sigma = c^t s_r of ``_coset_order`` G is
+    block-circulant in t, with blocks F(u - t)[r, q] = G(s_r, c^(u-t) s_q)
+    that R = (n-1)! rows of G hold.  A length-n DFT over t splits it into the
+    Hermitian R x R blocks B_j = sum_t omega^(jt) F(t), omega = e^(2 pi i/n),
+    whose eigenvalues together are those of G; only characters of Z_n enter.
+    The diagonalised matrices must be Hermitian, which on the Gram side also
+    tests that Gamma is a representation, and PSD.
+
+    The support is the k eigenvalues above max|lambda| * k * eps, with k = d^n
+    or n!, numpy's ``matrix_rank`` default: a fixed share of the largest drops
+    true eigenvalues at rare psi, and a fixed floor keeps roundoff at n = 8.
+    On the Gram side S^(-1/2) psi = A^T G^(-1/2) e_0, e_0 the identity's row,
+    and G^(-1/2) e_0 is the inverse DFT over j of B_j^(-1/2) e_id; a real psi
+    gets a real root.  Without ``root`` no eigenvectors are computed: LAPACK's
     divide-and-conquer eigenvector solver can fail to converge on the
     two-valued spectrum of a tight frame.
     """
     frame = psi[_gamma_indices(n, d)]
-    conj = np.conj(frame) if np.iscomplexobj(frame) else frame  # a real A^T A is one BLAS syrk
+    real = not np.iscomplexobj(frame)
+    conj = frame if real else np.conj(frame)  # a real A^T A is one BLAS syrk
     gram_side = frame.shape[0] <= frame.shape[1]
-    mat = conj @ frame.T if gram_side else frame.T @ conj
-    herm_resid = np.abs(mat - mat.conj().T).max()
-    if herm_resid > 1e-10:
-        raise InternalInvariantError(f"frame operator not Hermitian: residual {herm_resid:.3e}")
-    mat = (mat + mat.conj().T) / 2
-    evals, evecs = np.linalg.eigh(mat) if root else (np.linalg.eigvalsh(mat), None)
-    if evals.min() < -1e-10:
-        raise InternalInvariantError(f"frame operator not PSD: min eigenvalue {evals.min():.3e}")
-    kept = evals > np.abs(evals).max() * len(evals) * np.finfo(evals.dtype).eps
-    if not root:
-        return evals, kept, None
-    inv_root = evecs[:, kept] / np.sqrt(evals[kept])
     if gram_side:
-        return evals, kept, frame.T @ (inv_root @ np.conj(evecs[0, kept]))
-    return evals, kept, inv_root @ (np.conj(evecs[:, kept]).T @ psi)
+        size, order = math.factorial(n - 1), _coset_order(n)
+        slab = (conj[:size] @ frame.T)[:, order].reshape(size, n, size)  # F(t)[r, q] at [r, t, q]
+        mats = np.fft.ifft(slab, axis=1).swapaxes(0, 1) * n
+    else:
+        mats = (frame.T @ conj)[None]
+    herm_resid = np.abs(mats - mats.conj().swapaxes(1, 2)).max()
+    if herm_resid > 1e-10:
+        raise InternalInvariantError(f"orbit matrix not Hermitian: residual {herm_resid:.3e}")
+    mats = (mats + mats.conj().swapaxes(1, 2)) / 2
+    evals, evecs = np.linalg.eigh(mats) if root else (np.linalg.eigvalsh(mats), None)
+    if evals.min() < -1e-10:
+        raise InternalInvariantError(f"orbit matrix not PSD: min eigenvalue {evals.min():.3e}")
+    kept = evals > np.abs(evals).max() * evals.size * np.finfo(evals.dtype).eps
+    if not root:
+        return evals.ravel(), kept.ravel(), None
+    inv_sqrt = kept / np.sqrt(np.where(kept, evals, 1.0))
+    if gram_side:
+        coeffs = np.fft.ifft(np.einsum("jrk,jk->jr", evecs, inv_sqrt * np.conj(evecs[:, 0])), axis=0).ravel()
+        root_psi = frame.T @ (coeffs.real if real else coeffs)[np.argsort(order)]
+    else:
+        root_psi = (evecs[0] * inv_sqrt[0]) @ (np.conj(evecs[0]).T @ psi)
+    return evals.ravel(), kept.ravel(), root_psi
 
 
 def _generic_state(n: int, d: int, seed: int, sector: tuple[int, ...] | None = None) -> np.ndarray:
@@ -389,8 +419,9 @@ def classical_channel_mc(n: int, d: int, trials: int, seed: int) -> tuple[float,
     sizes = balanced_color_classes(n, d)
     palette = np.repeat(np.arange(len(sizes)), sizes)
     shape = (trials, n)
-    coloring = palette[np.argsort(rng.random(shape), axis=1)]
-    sigma = np.argsort(rng.random(shape), axis=1)
+    identity = np.broadcast_to(np.arange(n), shape)
+    coloring = palette[rng.permuted(identity, axis=1)]
+    sigma = rng.permuted(identity, axis=1)
     received = np.empty_like(coloring)
     np.put_along_axis(received, sigma, coloring, axis=1)
     # boxes sorted by color, randomly within a color, meet the positions

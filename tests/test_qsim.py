@@ -12,6 +12,8 @@ from permcode.qsim import (
     _color_counts,
     _gamma_index,
     _gamma_indices,
+    _generic_state,
+    _orbit,
     all_perms,
     build_gamma,
     build_n3_example,
@@ -394,6 +396,46 @@ def test_optimal_signal_is_tight_frame(n, d):
     top = evals[-dim_w:]
     assert np.abs(top / (math.factorial(n) / dim_w) - 1).max() <= 1e-9
     assert np.abs(evals[:-dim_w]).max(initial=0.0) < 1e-9
+
+
+def _gram_root(psi, n, d):
+    """Reference S^(-1/2) psi from the whole n! x n! Gram matrix of the orbit:
+    A^T G^(-1/2) e_0 on the eigenvalues of G at least 1e-12."""
+    states = psi[_gamma_indices(n, d)]
+    gram = states.conj() @ states.T
+    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+    kept = evals >= 1e-12
+    return states.T @ (evecs[:, kept] / np.sqrt(evals[kept]) @ evecs[0, kept].conj())
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 4), (6, 3)])
+@pytest.mark.parametrize("kind", ["real", "complex", "sector"])
+def test_orbit_blocks_match_the_whole_gram_matrix(n, d, kind):
+    # n! <= d^n: the core diagonalises n blocks of size (n-1)!, not G itself
+    v = np.random.default_rng(n * 10 + d).normal(size=(2, d**n)).T @ [1, 1j]
+    sizes = balanced_color_classes(n, d)
+    psi = {
+        "real": _generic_state(n, d, 3),
+        "complex": v / np.linalg.norm(v),
+        "sector": _generic_state(n, d, 3, tuple(sizes + [0] * (d - len(sizes)))),
+    }[kind]
+    states = psi[_gamma_indices(n, d)]
+    whole = np.linalg.eigvalsh(states.conj() @ states.T)
+    evals, _, root = _orbit(psi, n, d, root=True)
+    assert len(evals) == math.factorial(n)
+    assert np.abs(np.sort(evals) - whole).max() <= 1e-12 * whole.max()
+    assert np.abs(root - _gram_root(psi, n, d)).max() <= 1e-10
+    assert np.isrealobj(root) == np.isrealobj(psi)
+
+
+def test_orbit_refuses_a_gamma_that_is_not_a_representation(monkeypatch):
+    # the blocks split G only when G(h sigma, h tau) = G(sigma, tau); two rows of
+    # the index stack swapped break that, and the blocks are no longer Hermitian
+    swapped = _gamma_indices(4, 3).copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    monkeypatch.setattr(qsim, "_gamma_indices", lambda n, d: swapped)
+    with pytest.raises(InternalInvariantError, match="not Hermitian"):
+        orbit_rank(4, 3, seed=1)
 
 
 def test_qsim_reads_no_formula():
